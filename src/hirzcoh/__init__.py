@@ -13,7 +13,7 @@ verifier
 cli
     The ``hirzcoh`` command.
 kernels
-    Lattice-enumeration backend selection (compiled or pure Python).
+    The lattice-enumeration kernel behind the oracle.
 """
 
 from .hirzebruch import (

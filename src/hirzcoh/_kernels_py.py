@@ -1,4 +1,4 @@
-"""Pure-Python lattice kernel: the fallback when the compiled extension is absent.
+"""Pure-Python lattice kernel behind the lattice-point oracle.
 
 Deliberately formula-free: the count walks every lattice point of the
 polygon one at a time, so it shares nothing with the pushforward route to

@@ -1,7 +1,8 @@
 """Command-line front end: cohomology calculators and the certificate replay.
 
 Exit codes: 0 = success / overall PASS, 1 = a certificate failed,
-2 = usage error (bad grammar, bad flags, refused requests).
+2 = usage error (bad grammar, bad flags, refused requests) or an
+unwritable ``--json`` path.
 
 Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
@@ -33,7 +34,7 @@ from .p1 import (
     format_splitting,
     parse_splitting,
 )
-from .verifier import H, VerificationReport, _is_prime, run_full_replay
+from .verifier import H, VerificationReport, is_prime, run_full_replay
 
 
 def _yesno(flag: bool) -> str:
@@ -45,7 +46,7 @@ def _char_type(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"characteristic must be an integer, got {text!r}")
-    if value != 0 and not _is_prime(value):
+    if value != 0 and not is_prime(value):
         raise argparse.ArgumentTypeError(f"characteristic must be 0 or a prime, got {value}")
     return value
 
@@ -189,7 +190,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(render_report(report, timestamp=stamp))
     if args.json:
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
-        Path(args.json).write_text(payload, encoding="utf-8")
+        try:
+            Path(args.json).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write JSON report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.overall == "PASS" else 1
 
 

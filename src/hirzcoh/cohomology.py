@@ -10,8 +10,7 @@ Euler characteristic, which Riemann-Roch gives in closed form.
 ``brute_force_h0`` is the independent oracle: it counts lattice points of
 the polygon {(u, v) : 0 <= v <= a, 0 <= u <= b - e*v} by direct 2-D
 enumeration, sharing no formula with the pushforward route.  The inner
-loop is the package's one hot spot; ``hirzcoh.kernels`` provides it either
-compiled or in pure Python.
+loop is the package's one hot spot; ``hirzcoh.kernels`` provides it.
 """
 
 from __future__ import annotations
@@ -78,10 +77,4 @@ def brute_force_h0(ctx: SurfaceContext, d: DivisorClass) -> int:
             f"brute-force enumeration is limited to |a|, |b| <= {BRUTE_FORCE_BOUND}; "
             f"got a={d.a}, b={d.b}"
         )
-    if ctx.e > BRUTE_FORCE_BOUND:
-        # beyond the compiled kernel's fixed-width integers; the pure
-        # enumeration handles unbounded twists
-        from ._kernels_py import lattice_point_count as pure_count
-
-        return pure_count(d.a, d.b, ctx.e)
     return lattice_point_count(d.a, d.b, ctx.e)

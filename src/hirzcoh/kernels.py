@@ -1,24 +1,11 @@
-"""Selects the lattice-enumeration kernel at import time.
+"""The lattice-enumeration kernel used by the oracle in hirzcoh.cohomology.
 
-The compiled extension is preferred when it built; otherwise (or when
-HIRZCOH_PURE=1 is set) the pure-Python enumeration takes over with
-identical semantics.  ``BACKEND`` records which one is active.
+There is one backend, the pure-Python point walk in ``_kernels_py``;
+``BACKEND`` names it.
 """
 
-import os
+from ._kernels_py import lattice_point_count
 
-if os.environ.get("HIRZCOH_PURE") == "1":
-    from ._kernels_py import lattice_point_count
-
-    BACKEND = "python"
-else:
-    try:
-        from ._kernels import lattice_point_count
-
-        BACKEND = "cython"
-    except ImportError:
-        from ._kernels_py import lattice_point_count
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["lattice_point_count", "BACKEND"]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Union
+from typing import Callable, Union
 
 from . import cohomology
 from .hirzebruch import C, F, ZERO, DivisorClass, SurfaceContext, format_class
@@ -53,7 +53,6 @@ ELL = DegreeForm(cl=1)
 
 _SETUP_IDS = ("extension", "restriction")
 _CLAIM_IDS = ("claim3", "claim4", "sigma", "charp", "remark_t", "almost_nef")
-_RECORD_ORDER = _SETUP_IDS + _CLAIM_IDS
 
 
 class SymbolicUnsupported(ValueError):
@@ -130,10 +129,6 @@ class BalancedRestriction:
 
     degree: DegreeForm
     rank: Union[int, str]
-
-    @property
-    def rank_text(self) -> str:
-        return str(self.rank)
 
 
 def _curve_class(curve: str) -> DivisorClass:
@@ -223,25 +218,6 @@ def _restrict_symbolic(
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
-def restrict_expr(
-    ctx: SurfaceContext,
-    expr: BundleExpr,
-    curve: str,
-    beta: int | None = None,
-    ell: int = 0,
-):
-    """Restrict a bundle expression to C or to a fiber.
-
-    With concrete ``beta`` (and ``ell``) the result is a SplittingType;
-    without, the symbolic route returns a BalancedRestriction and raises
-    SymbolicUnsupported whenever some stage is not balanced.
-    """
-    _curve_class(curve)
-    if beta is None:
-        return _restrict_symbolic(ctx, expr, curve)
-    return _restrict_numeric(ctx, expr, curve, beta, ell)
-
-
 # --------------------------------------------------------------------------
 # claim records
 # --------------------------------------------------------------------------
@@ -292,7 +268,7 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError("sweep mode needs beta_max >= 1")
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -333,10 +309,18 @@ def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
     )
 
 
-def _extension_record(ctx: SurfaceContext, datum: ExtensionDatum) -> ClaimRecord:
-    return ClaimRecord(
+def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
+    """The extension setup record, and the datum when one exists."""
+    title = "nonsplit extension of O by O(C)"
+    try:
+        datum = build_extension(ctx)
+    except ValueError as exc:
+        return None, ClaimRecord(
+            "extension", title, "exact", FAIL, str(exc), witness={"error": str(exc)}
+        )
+    return datum, ClaimRecord(
         claim_id="extension",
-        title="nonsplit extension of O by O(C)",
+        title=title,
         mode="exact",
         status=PASS,
         headline=(
@@ -412,6 +396,33 @@ def nonsplit_restriction_certificate(
 # --------------------------------------------------------------------------
 
 
+#: A premise of a vanishing certificate: (name, holds, FAIL witness).
+Premise = tuple[str, bool, dict]
+
+
+def _premise(name: str, holds: bool, **facts) -> Premise:
+    return (name, holds, {"error": f"{name} failed", **facts})
+
+
+@dataclass
+class VanishingSpec:
+    """One h^0(C, expr|_C) = 0 certificate, as data for ``_certify``.
+
+    ``details`` is the record's details dict, which the evaluator extends.
+    A PASS headline is "<evidence>; <conclusion>", where the evidence is the
+    mode's own (degree form or grid count) unless ``pass_evidence`` builds
+    it from the degree form.
+    """
+
+    claim_id: str
+    title: str
+    expr: BundleExpr
+    details: dict
+    premises: tuple[Premise, ...]
+    conclusion: str
+    pass_evidence: Callable[[DegreeForm | None], str] | None = None
+
+
 def _sweep_vanishing(
     ctx: SurfaceContext, expr: BundleExpr, beta_max: int
 ) -> tuple[int, dict | None]:
@@ -427,84 +438,73 @@ def _sweep_vanishing(
     return evaluations, None
 
 
-def _vanishing_certificate(
-    ctx: SurfaceContext,
-    claim_id: str,
-    title: str,
-    expr: BundleExpr,
-    mode: str,
-    beta_max: int | None,
-    details: dict,
-    conclusion_pass: str,
+def _certify(
+    ctx: SurfaceContext, spec: VanishingSpec, mode: str, beta_max: int | None
 ) -> ClaimRecord:
-    """Certify h^0(C, expr|_C) = 0 over the region, symbolically or by sweep."""
-    _check_mode(mode, beta_max)
-    degree_form: DegreeForm | None = None
-    rank_text = None
+    """Evaluate a vanishing certificate with one rule.
+
+    The premises are checked first, in order; the first that fails is the
+    FAIL witness and no h^0 is computed.  Otherwise the degree form of the
+    restriction decides (symbolic mode) or the grid sweep does (sweep mode).
+    """
+    details = spec.details
+    for name, holds, witness in spec.premises:
+        if not holds:
+            headline = f"premise failed: {name}; no h^0 computed"
+            return ClaimRecord(
+                spec.claim_id, spec.title, mode, FAIL, headline, None, details, witness
+            )
+    form: DegreeForm | None = None
     try:
-        balanced = _restrict_symbolic(ctx, expr, "C")
-        degree_form = balanced.degree
-        rank_text = balanced.rank_text
+        balanced = _restrict_symbolic(ctx, spec.expr, "C")
+        form = balanced.degree
+        details["rank"] = str(balanced.rank)
     except SymbolicUnsupported:
         if mode == "symbolic":
             raise
-    if rank_text is not None:
-        details["rank"] = rank_text
     details["region"] = "b >= 1, l >= 0"
 
     if mode == "symbolic":
-        assert degree_form is not None
-        if degree_form.is_negative_on_region():
-            headline = f"restricted degrees {degree_form.compact()} < 0 on the region; {conclusion_pass}"
-            return ClaimRecord(
-                claim_id, title, mode, PASS, headline, degree_form, details
+        witness = None
+        evidence = f"restricted degrees {form.compact()} < 0 on the region"
+        if not form.is_negative_on_region():
+            beta, ell = form.nonnegative_witness()
+            value = _restrict_numeric(ctx, spec.expr, "C", beta, ell).h0()
+            witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
+            headline = (
+                f"degree form {form.compact()} is not negative on the region: "
+                f"value {form(beta, ell)} at (b, l) = ({beta}, {ell}), h^0 = {value}"
             )
-        beta, ell = degree_form.nonnegative_witness()
-        value = _restrict_numeric(ctx, expr, "C", beta, ell).h0()
-        witness = {
-            "beta": beta,
-            "ell": ell,
-            "degree": degree_form(beta, ell),
-            "h0": value,
-        }
-        headline = (
-            f"degree form {degree_form.compact()} is not negative on the region: "
-            f"value {degree_form(beta, ell)} at (b, l) = ({beta}, {ell}), h^0 = {value}"
+    else:
+        evaluations, witness = _sweep_vanishing(ctx, spec.expr, beta_max)
+        details.update(beta_max=beta_max, ell_range="0..5b", evaluations=evaluations)
+        evidence = (
+            f"h^0 = 0 at all {evaluations} grid points with 1 <= b <= {beta_max}, 0 <= l <= 5b"
         )
-        return ClaimRecord(
-            claim_id, title, mode, FAIL, headline, degree_form, details, witness
-        )
-
-    evaluations, witness = _sweep_vanishing(ctx, expr, beta_max)
-    details["beta_max"] = beta_max
-    details["ell_range"] = "0..5b"
-    details["evaluations"] = evaluations
+        if witness is not None:
+            headline = (
+                f"h^0 = {witness['h0']} > 0 at (b, l) = ({witness['beta']}, {witness['ell']})"
+            )
     if witness is None:
-        headline = (
-            f"h^0 = 0 at all {evaluations} grid points with 1 <= b <= {beta_max}, "
-            f"0 <= l <= 5b; {conclusion_pass}"
-        )
-        return ClaimRecord(claim_id, title, mode, PASS, headline, degree_form, details)
-    headline = (
-        f"h^0 = {witness['h0']} > 0 at (b, l) = ({witness['beta']}, {witness['ell']})"
-    )
-    return ClaimRecord(
-        claim_id, title, mode, FAIL, headline, degree_form, details, witness
-    )
+        if spec.pass_evidence is not None:
+            evidence = spec.pass_evidence(form)
+        headline = f"{evidence}; {spec.conclusion}"
+    status = PASS if witness is None else FAIL
+    return ClaimRecord(spec.claim_id, spec.title, mode, status, headline, form, details, witness)
 
 
 def _base_row_identity(
-    ctx: SurfaceContext, fiber_multiple: int, betas: range
+    ctx: SurfaceContext, fiber_multiple: int, beta_max: int | None
 ) -> tuple[bool, dict]:
     """Check h^0(O(m*b*F)) = m*b + 1 = h^0 on P^1, via both surface routes.
 
     Sections of a bundle pulled back from the base restrict bijectively to
     C because C is a section of the ruling; the dimension identity is the
-    checkable shadow of that bijection.
+    checkable shadow of that bijection.  Symbolic mode samples b = 1..8.
     """
     checked = []
     ok = True
-    for beta in betas:
+    for beta in range(1, (beta_max or 8) + 1):
         cls = DivisorClass(0, fiber_multiple * beta)
         lhs = cohomology.h0(ctx, cls)
         rhs = SplittingType((fiber_multiple * beta,)).h0()
@@ -549,31 +549,24 @@ def peeling_vanishing_certificate(
     at a time (the twist identity 5H = 5C + 15F makes 5b*H = 5b*C + 15b*F)
     then identifies H^0 at the 15b*F twist with H^0 at the 5b*H twist.
     """
+    _check_mode(mode, beta_max)
     if datum is None:
         datum = build_extension(ctx)
-    expr = Twist(_char0_tower(datum), a=ELL, b=BETA.scale(15))
-    identity_holds = 5 * H == 5 * C + 15 * F
-    details = {
-        "bundle": "S^{4b}(S^4 E)(lC + 15bF) restricted to C",
-        "polarization_identity": "5H = 5C + 15F",
-        "polarization_identity_holds": identity_holds,
-        "peeling": "l = 1..5b: vanishing on C makes each column inclusion bijective on H^0",
-    }
-    record = _vanishing_certificate(
-        ctx,
+    identity_holds = 5 * H == 5 * C + 15 * F  # divisor arithmetic is checked, not assumed
+    spec = VanishingSpec(
         "claim3",
         "vanishing on C of the peeled symmetric-power columns",
-        expr,
-        mode,
-        beta_max,
-        details,
-        "every column inclusion is bijective on H^0",
+        Twist(_char0_tower(datum), a=ELL, b=BETA.scale(15)),
+        details={
+            "bundle": "S^{4b}(S^4 E)(lC + 15bF) restricted to C",
+            "polarization_identity": "5H = 5C + 15F",
+            "polarization_identity_holds": identity_holds,
+            "peeling": "l = 1..5b: vanishing on C makes each column inclusion bijective on H^0",
+        },
+        premises=(_premise("polarization identity 5H = 5C + 15F", identity_holds),),
+        conclusion="every column inclusion is bijective on H^0",
     )
-    if not identity_holds:  # divisor arithmetic is checked, not assumed
-        record.status = FAIL
-        record.headline = "polarization identity 5H = 5C + 15F failed"
-        record.witness = {"error": "polarization identity failed"}
-    return record
+    return _certify(ctx, spec, mode, beta_max)
 
 
 def base_row_certificate(
@@ -597,33 +590,20 @@ def base_row_certificate(
     _check_mode(mode, beta_max)
     if datum is None:
         datum = build_extension(ctx)
-    expr = Twist(_char0_tower(datum), a=0, b=BETA.scale(fiber_multiple))
-    betas = range(1, (beta_max or 8) + 1)
-    row_ok, row_info = _base_row_identity(ctx, fiber_multiple, betas)
-    details = {
-        "bundle": f"S^{{4b}}(S^4 E)({fiber_multiple}bF) restricted to C",
-        "base_row": row_info,
-    }
-    record = _vanishing_certificate(
-        ctx,
+    m = fiber_multiple
+    row_ok, row_info = _base_row_identity(ctx, m, beta_max)
+    spec = VanishingSpec(
         "claim4",
         "zero map on global sections into the base-pulled-back twist",
-        expr,
-        mode,
-        beta_max,
-        details,
-        "H^0 into O({m}bF) is the zero map".replace("{m}", str(fiber_multiple)),
+        Twist(_char0_tower(datum), a=0, b=BETA.scale(m)),
+        details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C", "base_row": row_info},
+        premises=(_premise("base-row identity", row_ok),),
+        conclusion=(
+            f"H^0 into O({m}bF) is the zero map; "
+            f"base row h^0(O({m}bF)) = {m}b + 1 restricts bijectively to C"
+        ),
     )
-    if not row_ok:
-        record.status = FAIL
-        record.witness = record.witness or {"error": "base-row identity failed"}
-        record.headline += "; base-row identity FAILED"
-    elif record.passed:
-        record.headline += (
-            f"; base row h^0(O({fiber_multiple}bF)) = {fiber_multiple}b + 1 "
-            "restricts bijectively to C"
-        )
-    return record
+    return _certify(ctx, spec, mode, beta_max)
 
 
 def quotient_zero_conclusion(
@@ -710,58 +690,50 @@ def frobenius_certificate(
     has common restricted degree (15 - 4q)b - 2l, with boundary value
     15 - 4q <= -1 attained exactly at q = 4.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     _check_mode(mode, beta_max)
     if datum is None:
         datum = build_extension(ctx)
     k = 1 if p >= 5 else 2
     q = p**k
-    expr = Twist(Sym(Frob(ExtBundle(datum), q), BETA.scale(4)), a=ELL, b=BETA.scale(15))
     boundary = 15 - 4 * q
     sub_twisted = q * C + H
-    quot_twisted = H
     identity_holds = 5 * H == 5 * C + 15 * F
-    betas = range(1, (beta_max or 8) + 1)
-    row_ok, row_info = _base_row_identity(ctx, 15, betas)
-    details = {
-        "p": p,
-        "frobenius_exponent": k,
-        "degree_multiplier": q,
-        "boundary_value": boundary,
-        "boundary_bound": -1,
-        "boundary_attained": boundary == -1,
-        "polarization_identity": "5H = 5C + 15F",
-        "polarization_identity_holds": identity_holds,
-        "twisted_extension": (
-            f"0 -> O({format_class(sub_twisted)}) -> (F^{k}* E)(H) -> "
-            f"O({format_class(quot_twisted)}) -> 0"
-        ),
-        "sub_is_big": ctx.is_big(sub_twisted),
-        "quot_is_ample": ctx.is_ample(quot_twisted),
-        "base_row": row_info,
-    }
-    record = _vanishing_certificate(
-        ctx,
+    row_ok, row_info = _base_row_identity(ctx, 15, beta_max)
+    spec = VanishingSpec(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
-        expr,
-        mode,
-        beta_max,
-        details,
-        f"(F^{k}* E)(H) is not pseudo-effective",
-    )
-    if record.passed and not (row_ok and boundary <= -1 and identity_holds):
-        record.status = FAIL
-        record.witness = {"boundary_value": boundary, "base_row_holds": row_ok}
-        record.headline = "boundary, bookkeeping or base-row premise failed"
-    elif record.passed:
-        record.headline = (
+        Twist(Sym(Frob(ExtBundle(datum), q), BETA.scale(4)), a=ELL, b=BETA.scale(15)),
+        details={
+            "p": p,
+            "frobenius_exponent": k,
+            "degree_multiplier": q,
+            "boundary_value": boundary,
+            "boundary_bound": -1,
+            "boundary_attained": boundary == -1,
+            "polarization_identity": "5H = 5C + 15F",
+            "polarization_identity_holds": identity_holds,
+            "twisted_extension": (
+                f"0 -> O({format_class(sub_twisted)}) -> (F^{k}* E)(H) -> "
+                f"O({format_class(H)}) -> 0"
+            ),
+            "sub_is_big": ctx.is_big(sub_twisted),
+            "quot_is_ample": ctx.is_ample(H),
+            "base_row": row_info,
+        },
+        premises=(
+            _premise("boundary 15 - 4q <= -1", boundary <= -1, boundary_value=boundary),
+            _premise("polarization identity 5H = 5C + 15F", identity_holds),
+            _premise("base-row identity", row_ok),
+        ),
+        conclusion=f"(F^{k}* E)(H) is not pseudo-effective",
+        pass_evidence=lambda form: (
             f"p = {p}: exponent {k}, multiplier q = {q}; "
-            f"degrees {record.degree_form.compact()} < 0 on the region "
-            f"(boundary 15 - 4q = {boundary}); (F^{k}* E)(H) is not pseudo-effective"
-        )
-    return record
+            f"degrees {form.compact()} < 0 on the region (boundary 15 - 4q = {boundary})"
+        ),
+    )
+    return _certify(ctx, spec, mode, beta_max)
 
 
 def direct_not_psef_certificate(
@@ -780,35 +752,26 @@ def direct_not_psef_certificate(
     _check_mode(mode, beta_max)
     if datum is None:
         datum = build_extension(ctx)
-    expr = Twist(Sym(ExtBundle(datum), BETA.scale(4)), a=ELL, b=BETA.scale(3))
     identity_holds = H == C + 3 * F
-    betas = range(1, (beta_max or 8) + 1)
-    row_ok, row_info = _base_row_identity(ctx, 3, betas)
-    details = {
-        "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
-        "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
-        "polarization_identity": "H = C + 3F",
-        "polarization_identity_holds": identity_holds,
-        "base_row": row_info,
-    }
-    record = _vanishing_certificate(
-        ctx,
+    row_ok, row_info = _base_row_identity(ctx, 3, beta_max)
+    spec = VanishingSpec(
         "remark_t",
         "E itself is not pseudo-effective",
-        expr,
-        mode,
-        beta_max,
-        details,
-        "E itself is not pseudo-effective",
-    )
-    if record.passed and not (identity_holds and row_ok):
-        record.status = FAIL
-        record.witness = {
+        Twist(Sym(ExtBundle(datum), BETA.scale(4)), a=ELL, b=BETA.scale(3)),
+        details={
+            "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
+            "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
+            "polarization_identity": "H = C + 3F",
             "polarization_identity_holds": identity_holds,
-            "base_row_holds": row_ok,
-        }
-        record.headline = "twist bookkeeping or base-row premise failed"
-    return record
+            "base_row": row_info,
+        },
+        premises=(
+            _premise("polarization identity H = C + 3F", identity_holds),
+            _premise("base-row identity", row_ok),
+        ),
+        conclusion="E itself is not pseudo-effective",
+    )
+    return _certify(ctx, spec, mode, beta_max)
 
 
 def almost_nef_evidence(
@@ -937,30 +900,6 @@ class VerificationReport:
         }
 
 
-def _assemble(
-    ctx: SurfaceContext,
-    characteristic: int,
-    mode: str,
-    beta_max: int | None,
-    records: list[ClaimRecord],
-    notes: list[str],
-) -> VerificationReport:
-    order = {cid: i for i, cid in enumerate(_RECORD_ORDER)}
-    records = sorted(records, key=lambda r: order.get(r.claim_id, len(order)))
-    overall = PASS if records and all(r.passed for r in records) else FAIL
-    conclusion = "not pseudo-effective" if overall == PASS else "not certified"
-    return VerificationReport(
-        e=ctx.e,
-        characteristic=characteristic,
-        mode=mode,
-        beta_max=beta_max,
-        records=records,
-        overall=overall,
-        conclusion=conclusion,
-        notes=notes,
-    )
-
-
 def run_full_replay(
     ctx: SurfaceContext,
     characteristic: int = 0,
@@ -975,44 +914,21 @@ def run_full_replay(
     is the report's witness.
     """
     _check_mode(mode, beta_max)
-    if characteristic != 0 and not _is_prime(characteristic):
-        raise ValueError(
-            f"characteristic must be 0 or a prime, got {characteristic}"
-        )
+    if characteristic != 0 and not is_prime(characteristic):
+        raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
     notes: list[str] = []
-    records: list[ClaimRecord] = []
-    try:
-        datum = build_extension(ctx)
-    except ValueError as exc:
-        records.append(
-            ClaimRecord(
-                claim_id="extension",
-                title="nonsplit extension of O by O(C)",
-                mode="exact",
-                status=FAIL,
-                headline=str(exc),
-                witness={"error": str(exc)},
-            )
-        )
-        return _assemble(ctx, characteristic, mode, beta_max, records, notes)
-    records.append(_extension_record(ctx, datum))
-    restriction = nonsplit_restriction_certificate(ctx, datum)
-    records.append(restriction)
-    if restriction.passed:
+    datum, extension = _extension_record(ctx)
+    records = [extension]
+    if datum is not None:
+        records.append(nonsplit_restriction_certificate(ctx, datum))
+    if records[-1].passed:  # the extension exists and stays nonsplit on C
         if characteristic == 0:
             peeling = peeling_vanishing_certificate(ctx, datum, mode, beta_max)
             base_row = base_row_certificate(ctx, datum, mode, beta_max)
-            records.extend(
-                [
-                    peeling,
-                    base_row,
-                    quotient_zero_conclusion(ctx, peeling, base_row, mode, beta_max),
-                ]
-            )
+            sigma = quotient_zero_conclusion(ctx, peeling, base_row, mode, beta_max)
+            records += [peeling, base_row, sigma]
         else:
-            records.append(
-                frobenius_certificate(ctx, characteristic, datum, mode, beta_max)
-            )
+            records.append(frobenius_certificate(ctx, characteristic, datum, mode, beta_max))
             notes.append(
                 "characteristic > 0: whether pseudo-effectivity of E passes to "
                 "its symmetric powers is unknown, so the conclusion for the "
@@ -1020,4 +936,8 @@ def run_full_replay(
             )
         records.append(direct_not_psef_certificate(ctx, datum, mode, beta_max))
         records.append(almost_nef_evidence(ctx, datum))
-    return _assemble(ctx, characteristic, mode, beta_max, records, notes)
+    overall = PASS if all(r.passed for r in records) else FAIL
+    conclusion = "not pseudo-effective" if overall == PASS else "not certified"
+    return VerificationReport(
+        ctx.e, characteristic, mode, beta_max, records, overall, conclusion, notes
+    )

@@ -206,3 +206,12 @@ def test_negative_twist_is_usage_error(capsys):
     code, _, err = run(capsys, "coh", "-e", "-1", "C")
     assert code == 2
     assert "nonnegative" in err
+
+
+def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "verify", "--json", str(path))
+    assert code == 2
+    assert "overall PASS" in out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not path.exists()

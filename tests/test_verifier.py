@@ -27,7 +27,6 @@ from hirzcoh.verifier import (
     nonsplit_restriction_certificate,
     peeling_vanishing_certificate,
     quotient_zero_conclusion,
-    restrict_expr,
     run_full_replay,
     split_control_datum,
 )
@@ -80,7 +79,7 @@ def _claim3_expr(datum):
 def test_restrict_numeric_claim3_degrees():
     datum = build_extension(CTX2)
     for beta, ell in [(1, 0), (1, 3), (2, 0), (3, 7)]:
-        st = restrict_expr(CTX2, _claim3_expr(datum), "C", beta=beta, ell=ell)
+        st = v._restrict_numeric(CTX2, _claim3_expr(datum), "C", beta, ell)
         assert st.pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
 
 
@@ -88,38 +87,38 @@ def test_restrict_numeric_frobenius_degrees():
     datum = build_extension(CTX2)
     expr = Twist(Sym(Frob(ExtBundle(datum), 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
     for beta, ell in [(1, 0), (2, 5)]:
-        st = restrict_expr(CTX2, expr, "C", beta=beta, ell=ell)
+        st = v._restrict_numeric(CTX2, expr, "C", beta, ell)
         assert st.pairs == (((15 - 16) * beta - 2 * ell, comb(4 * beta + 1, 1)),)
 
 
 def test_restrict_fiber():
     datum = build_extension(CTX2)
-    assert restrict_expr(CTX2, ExtBundle(datum), "fiber", beta=1) == SplittingType((0, 1))
+    assert v._restrict_numeric(CTX2, ExtBundle(datum), "fiber", 1, 0) == SplittingType((0, 1))
 
 
 def test_restrict_symbolic_forms():
     datum = build_extension(CTX2)
-    res = restrict_expr(CTX2, _claim3_expr(datum), "C")
+    res = v._restrict_symbolic(CTX2, _claim3_expr(datum), "C")
     assert res.degree == DegreeForm(0, -1, -2)
     assert res.rank == "C(4b + 4, 4)"
     charp = Twist(Sym(Frob(ExtBundle(datum), 9), BETA.scale(4)), a=ELL, b=BETA.scale(15))
-    assert restrict_expr(CTX2, charp, "C").degree == DegreeForm(0, 15 - 36, -2)
+    assert v._restrict_symbolic(CTX2, charp, "C").degree == DegreeForm(0, 15 - 36, -2)
     base = Twist(Sym(Sym(ExtBundle(datum), 4), BETA.scale(4)), a=0, b=BETA.scale(15))
-    assert restrict_expr(CTX2, base, "C").degree == DegreeForm(0, -1, 0)
+    assert v._restrict_symbolic(CTX2, base, "C").degree == DegreeForm(0, -1, 0)
 
 
 def test_restrict_symbolic_refuses_unbalanced():
     datum = build_extension(CTX2)
     with pytest.raises(SymbolicUnsupported, match="numeric sweep"):
-        restrict_expr(CTX2, ExtBundle(datum), "fiber")
+        v._restrict_symbolic(CTX2, ExtBundle(datum), "fiber")
     with pytest.raises(SymbolicUnsupported):
-        restrict_expr(CTX2, _claim3_expr(split_control_datum(CTX2)), "C")
+        v._restrict_symbolic(CTX2, _claim3_expr(split_control_datum(CTX2)), "C")
 
 
 def test_restrict_rejects_unknown_curve():
     datum = build_extension(CTX2)
     with pytest.raises(ValueError, match="unknown curve"):
-        restrict_expr(CTX2, ExtBundle(datum), "D", beta=1)
+        v._restrict_numeric(CTX2, ExtBundle(datum), "D", 1, 0)
 
 
 def test_restricted_twist_degree_matches_intersection():
@@ -257,6 +256,39 @@ def test_direct_certificate():
     assert "E itself is not pseudo-effective" in rec.headline
     assert coh.h0(CTX2, DivisorClass(0, 6)) == 7  # base row at b = 2
     assert coh.brute_force_h0(CTX2, DivisorClass(0, 6)) == 7
+
+
+def test_premises_are_checked_before_any_h0(monkeypatch):
+    real_identity = v._base_row_identity
+
+    def broken_base_row(ctx, fiber_multiple, beta_max):
+        _, info = real_identity(ctx, fiber_multiple, beta_max)
+        return False, {**info, "holds": False}
+
+    monkeypatch.setattr(v, "_base_row_identity", broken_base_row)
+    for mode, beta_max in (("symbolic", None), ("sweep", 4)):
+        for rec in (
+            base_row_certificate(CTX2, mode=mode, beta_max=beta_max),
+            frobenius_certificate(CTX2, 3, mode=mode, beta_max=beta_max),
+            direct_not_psef_certificate(CTX2, mode=mode, beta_max=beta_max),
+        ):
+            assert not rec.passed
+            assert rec.witness == {"error": "base-row identity failed"}
+            assert rec.headline == "premise failed: base-row identity; no h^0 computed"
+            assert "evaluations" not in rec.details and rec.degree_form is None
+    monkeypatch.undo()
+
+    monkeypatch.setattr(v, "H", C + 4 * F)
+    name = "polarization identity 5H = 5C + 15F"
+    for mode, beta_max in (("symbolic", None), ("sweep", 4)):
+        for rec in (
+            peeling_vanishing_certificate(CTX2, mode=mode, beta_max=beta_max),
+            frobenius_certificate(CTX2, 5, mode=mode, beta_max=beta_max),
+        ):
+            assert not rec.passed
+            assert rec.witness == {"error": f"{name} failed"}
+            assert rec.headline == f"premise failed: {name}; no h^0 computed"
+            assert "evaluations" not in rec.details
 
 
 def test_almost_nef_evidence():
