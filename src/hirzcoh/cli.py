@@ -19,15 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import cohomology
-from .hirzebruch import (
-    ClassParseError,
-    DivisorClass,
-    SurfaceContext,
-    format_class,
-    parse_class,
-)
+from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class
 from .p1 import (
-    AmbiguousExtensionError,
     SplittingParseError,
     SplittingType,
     classify_extension,
@@ -214,10 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     coh.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
     coh.add_argument("--char", type=_char_type, default=None, help="characteristic (informational)")
     coh.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
+    coh.set_defaults(run=_cmd_coh)
 
     cone = sub.add_parser("cone", help="positivity-cone membership for a divisor class")
     cone.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
     cone.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
+    cone.set_defaults(run=_cmd_cone)
 
     split = sub.add_parser("split", help="splitting-type calculator on P^1")
     split.add_argument(
@@ -231,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OP",
         help="operations sym:m, twist:d, frob:q, applied left to right",
     )
+    split.set_defaults(run=_cmd_split)
 
     verify = sub.add_parser("verify", help="run the certificate replay")
     verify.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
@@ -238,37 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=("symbolic", "sweep"), default="symbolic")
     verify.add_argument("--beta-max", type=int, default=None, help="grid bound (sweep mode only)")
     verify.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command is None:
+        args = parser.parse_args(["verify"])
+    if args.run is _cmd_verify:
+        if args.mode == "sweep" and args.beta_max is None:
+            parser.error("--beta-max is required with --mode sweep")
+        if args.mode == "symbolic" and args.beta_max is not None:
+            parser.error("--beta-max is only meaningful with --mode sweep")
     try:
-        if args.command is None:
-            return _cmd_verify(
-                argparse.Namespace(e=2, char=0, mode="symbolic", beta_max=None, json=None)
-            )
-        if args.command == "verify":
-            if args.mode == "sweep" and args.beta_max is None:
-                parser.error("--beta-max is required with --mode sweep")
-            if args.mode == "symbolic" and args.beta_max is not None:
-                parser.error("--beta-max is only meaningful with --mode sweep")
-            return _cmd_verify(args)
-        if args.command == "coh":
-            return _cmd_coh(args)
-        if args.command == "cone":
-            return _cmd_cone(args)
-        if args.command == "split":
-            return _cmd_split(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ClassParseError, SplittingParseError, AmbiguousExtensionError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # the parse errors of every grammar subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
-# Enumerating a symmetric power materializes one degree sum per monomial;
-# refuse past this many monomials.  Balanced inputs never enumerate.
+# Enumerating the m-th symmetric power sums m degrees for each monomial;
+# refuse past this many terms (m times the monomial count).  Balanced
+# inputs never enumerate.
 _SYM_ENUMERATION_LIMIT = 5_000_000
 
 # degrees() refuses to expand multisets larger than this.
@@ -83,9 +84,6 @@ class SplittingType:
             out.extend([d] * r)
         return tuple(out)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.degrees())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SplittingType) and self._pairs == other._pairs
 
@@ -103,12 +101,6 @@ class SplittingType:
     def is_balanced(self) -> bool:
         """True when every summand has the same degree (or the bundle is zero)."""
         return len(self._pairs) <= 1
-
-    def min_degree(self) -> int | None:
-        return self._pairs[0][0] if self._pairs else None
-
-    def max_degree(self) -> int | None:
-        return self._pairs[-1][0] if self._pairs else None
 
     # -- cohomology and positivity -------------------------------------
 
@@ -154,10 +146,10 @@ class SplittingType:
             d, r = self._pairs[0]
             return SplittingType.from_pairs([(m * d, comb(r + m - 1, m))])
         n_monomials = comb(self.rank + m - 1, m)
-        if n_monomials > _SYM_ENUMERATION_LIMIT:
+        if m * n_monomials > _SYM_ENUMERATION_LIMIT:
             raise ValueError(
-                f"symmetric power has {n_monomials} summands; refusing to "
-                f"enumerate more than {_SYM_ENUMERATION_LIMIT}"
+                f"symmetric power has {n_monomials} summands of {m} terms each; "
+                f"refusing to enumerate more than {_SYM_ENUMERATION_LIMIT} terms"
             )
         sums = Counter(
             sum(combo) for combo in combinations_with_replacement(self.degrees(), m)
@@ -210,9 +202,6 @@ class DegreeForm:
 
     def __add__(self, other: "DegreeForm") -> "DegreeForm":
         return DegreeForm(self.c0 + other.c0, self.cb + other.cb, self.cl + other.cl)
-
-    def __neg__(self) -> "DegreeForm":
-        return DegreeForm(-self.c0, -self.cb, -self.cl)
 
     def scale(self, n: int) -> "DegreeForm":
         return DegreeForm(n * self.c0, n * self.cb, n * self.cl)

@@ -51,8 +51,8 @@ H = DivisorClass(1, 3)
 BETA = DegreeForm(cb=1)
 ELL = DegreeForm(cl=1)
 
+#: Records that set the replay up; every other record is a claim.
 _SETUP_IDS = ("extension", "restriction")
-_CLAIM_IDS = ("claim3", "claim4", "sigma", "charp", "remark_t", "almost_nef")
 
 
 class SymbolicUnsupported(ValueError):
@@ -68,6 +68,7 @@ class SymbolicUnsupported(ValueError):
 class ExtensionDatum:
     """A rank-2 extension of O(quot) by O(sub), plus its Ext-group size.
 
+    As a bundle expression it is the leaf: the extension bundle itself.
     ``ext_dim`` is dim Ext^1(O(quot), O(sub)) = h^1(O(sub - quot)) on the
     surface; ``nonsplit`` records whether a nonzero class was taken.
     """
@@ -80,13 +81,6 @@ class ExtensionDatum:
     def __post_init__(self) -> None:
         if self.nonsplit and self.ext_dim < 1:
             raise ValueError("a nonsplit extension needs ext_dim >= 1")
-
-
-@dataclass(frozen=True)
-class ExtBundle:
-    """Expression leaf: the extension bundle itself."""
-
-    datum: ExtensionDatum
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ class Frob:
     q: int
 
 
-BundleExpr = Union[ExtBundle, Sym, Twist, Frob]
+BundleExpr = Union[ExtensionDatum, Sym, Twist, Frob]
 
 
 @dataclass(frozen=True)
@@ -131,57 +125,46 @@ class BalancedRestriction:
     rank: Union[int, str]
 
 
-def _curve_class(curve: str) -> DivisorClass:
-    if curve == "C":
-        return C
-    if curve == "fiber":
-        return F
-    raise ValueError(f"unknown curve {curve!r}; expected 'C' or 'fiber'")
-
-
 def restricted_twist_degree(
-    ctx: SurfaceContext, a_form: DegreeForm, b_form: DegreeForm, curve: str
+    ctx: SurfaceContext, a_form: DegreeForm, b_form: DegreeForm
 ) -> DegreeForm:
-    """Degree form of O(a*C + b*F) restricted to the curve."""
-    if curve == "C":
-        return a_form.scale(-ctx.e) + b_form
-    _curve_class(curve)  # validate
-    return a_form
+    """Degree form of O(a*C + b*F) restricted to C."""
+    return a_form.scale(-ctx.e) + b_form
 
 
 def _leaf_restriction(ctx: SurfaceContext, datum: ExtensionDatum, curve: str) -> SplittingType:
     # The nonsplit flag transfers to the restriction to C on the strength
     # of the restriction certificate (injectivity of extension classes);
     # on a fiber the extension group vanishes and classify forces a split.
-    cl = _curve_class(curve)
+    if curve not in ("C", "fiber"):
+        raise ValueError(f"unknown curve {curve!r}; expected 'C' or 'fiber'")
+    cl = C if curve == "C" else F
     return classify_extension(
         ctx.intersect(datum.sub, cl), ctx.intersect(datum.quot, cl), datum.nonsplit
     )
 
 
 def _restrict_numeric(
-    ctx: SurfaceContext, expr: BundleExpr, curve: str, beta: int, ell: int
+    ctx: SurfaceContext, expr: BundleExpr, beta: int, ell: int
 ) -> SplittingType:
-    if isinstance(expr, ExtBundle):
-        return _leaf_restriction(ctx, expr.datum, curve)
+    """Splitting type of expr|_C at the parameter point (beta, ell)."""
+    if isinstance(expr, ExtensionDatum):
+        return _leaf_restriction(ctx, expr, "C")
     if isinstance(expr, Sym):
         m = expr.power(beta, ell) if isinstance(expr.power, DegreeForm) else expr.power
-        return _restrict_numeric(ctx, expr.inner, curve, beta, ell).sym_power(m)
+        return _restrict_numeric(ctx, expr.inner, beta, ell).sym_power(m)
     if isinstance(expr, Twist):
-        shift = restricted_twist_degree(ctx, expr.a, expr.b, curve)(beta, ell)
-        return _restrict_numeric(ctx, expr.inner, curve, beta, ell).twist(shift)
+        shift = restricted_twist_degree(ctx, expr.a, expr.b)(beta, ell)
+        return _restrict_numeric(ctx, expr.inner, beta, ell).twist(shift)
     if isinstance(expr, Frob):
-        return _restrict_numeric(ctx, expr.inner, curve, beta, ell).frobenius_pullback(
-            expr.q
-        )
+        return _restrict_numeric(ctx, expr.inner, beta, ell).frobenius_pullback(expr.q)
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
-def _restrict_symbolic(
-    ctx: SurfaceContext, expr: BundleExpr, curve: str
-) -> BalancedRestriction:
-    if isinstance(expr, ExtBundle):
-        st = _leaf_restriction(ctx, expr.datum, curve)
+def _restrict_symbolic(ctx: SurfaceContext, expr: BundleExpr) -> BalancedRestriction:
+    """expr|_C as one degree form over the whole region, when it is balanced."""
+    if isinstance(expr, ExtensionDatum):
+        st = _leaf_restriction(ctx, expr, "C")
         if st.is_zero() or not st.is_balanced():
             raise SymbolicUnsupported(
                 f"restriction {format_splitting(st)} is not balanced; "
@@ -190,30 +173,24 @@ def _restrict_symbolic(
         deg, rank = st.pairs[0]
         return BalancedRestriction(DegreeForm.constant(deg), rank)
     if isinstance(expr, Sym):
-        inner = _restrict_symbolic(ctx, expr.inner, curve)
+        inner = _restrict_symbolic(ctx, expr.inner)
+        if not isinstance(inner.rank, int):
+            raise SymbolicUnsupported("symmetric power of a bundle of parametric rank")
         if isinstance(expr.power, int):
             degree = inner.degree.scale(expr.power)
-            if isinstance(inner.rank, int):
-                rank: Union[int, str] = comb(inner.rank + expr.power - 1, expr.power)
-            else:
-                rank = f"C({inner.rank} + {expr.power} - 1, {expr.power})"
-        else:
-            try:
-                degree = inner.degree.times(expr.power)
-            except ValueError as exc:
-                raise SymbolicUnsupported(str(exc)) from None
-            m_text = expr.power.compact()
-            if isinstance(inner.rank, int):
-                rank = f"C({m_text} + {inner.rank - 1}, {inner.rank - 1})"
-            else:
-                rank = f"C({m_text} + {inner.rank} - 1, {inner.rank})"
-        return BalancedRestriction(degree, rank)
+            return BalancedRestriction(degree, comb(inner.rank + expr.power - 1, expr.power))
+        try:
+            degree = inner.degree.times(expr.power)
+        except ValueError as exc:
+            raise SymbolicUnsupported(str(exc)) from None
+        r = inner.rank - 1
+        return BalancedRestriction(degree, f"C({expr.power.compact()} + {r}, {r})")
     if isinstance(expr, Twist):
-        inner = _restrict_symbolic(ctx, expr.inner, curve)
-        shift = restricted_twist_degree(ctx, expr.a, expr.b, curve)
+        inner = _restrict_symbolic(ctx, expr.inner)
+        shift = restricted_twist_degree(ctx, expr.a, expr.b)
         return BalancedRestriction(inner.degree + shift, inner.rank)
     if isinstance(expr, Frob):
-        inner = _restrict_symbolic(ctx, expr.inner, curve)
+        inner = _restrict_symbolic(ctx, expr.inner)
         return BalancedRestriction(inner.degree.scale(expr.q), inner.rank)
     raise TypeError(f"not a bundle expression: {expr!r}")
 
@@ -225,16 +202,22 @@ def _restrict_symbolic(
 
 @dataclass
 class ClaimRecord:
-    """One certified statement: what was checked, how, and the outcome."""
+    """One certified statement: what was checked, how, and the outcome.
+
+    The status follows the witness: FAIL exactly when a witness is given.
+    """
 
     claim_id: str
     title: str
     mode: str  # "symbolic" | "sweep" | "exact"
-    status: str
+    status: str = field(init=False)
     headline: str = ""
     degree_form: DegreeForm | None = None
     details: dict = field(default_factory=dict)
     witness: dict | None = None
+
+    def __post_init__(self) -> None:
+        self.status = PASS if self.witness is None else FAIL
 
     @property
     def passed(self) -> bool:
@@ -316,13 +299,12 @@ def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, Claim
         datum = build_extension(ctx)
     except ValueError as exc:
         return None, ClaimRecord(
-            "extension", title, "exact", FAIL, str(exc), witness={"error": str(exc)}
+            "extension", title, "exact", str(exc), witness={"error": str(exc)}
         )
     return datum, ClaimRecord(
         claim_id="extension",
         title=title,
         mode="exact",
-        status=PASS,
         headline=(
             f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {datum.ext_dim}; "
             f"nonsplit class chosen"
@@ -365,7 +347,6 @@ def nonsplit_restriction_certificate(
             claim_id="restriction",
             title="restriction of the extension to C and to a fiber",
             mode="exact",
-            status=FAIL,
             headline=f"restriction type undetermined: {exc}",
             details=details,
             witness={"error": str(exc)},
@@ -378,7 +359,6 @@ def nonsplit_restriction_certificate(
         claim_id="restriction",
         title="restriction of the extension to C and to a fiber",
         mode="exact",
-        status=PASS if ok else FAIL,
         headline=(
             f"E|_C = {format_splitting(res_c)} ({kind}), "
             f"E|_fiber = {format_splitting(res_f)} (splits); "
@@ -430,7 +410,7 @@ def _sweep_vanishing(
     evaluations = 0
     for beta in range(1, beta_max + 1):
         for ell in range(0, 5 * beta + 1):
-            st = _restrict_numeric(ctx, expr, "C", beta, ell)
+            st = _restrict_numeric(ctx, expr, beta, ell)
             evaluations += 1
             value = st.h0()
             if value:
@@ -451,12 +431,10 @@ def _certify(
     for name, holds, witness in spec.premises:
         if not holds:
             headline = f"premise failed: {name}; no h^0 computed"
-            return ClaimRecord(
-                spec.claim_id, spec.title, mode, FAIL, headline, None, details, witness
-            )
+            return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
     form: DegreeForm | None = None
     try:
-        balanced = _restrict_symbolic(ctx, spec.expr, "C")
+        balanced = _restrict_symbolic(ctx, spec.expr)
         form = balanced.degree
         details["rank"] = str(balanced.rank)
     except SymbolicUnsupported:
@@ -469,7 +447,7 @@ def _certify(
         evidence = f"restricted degrees {form.compact()} < 0 on the region"
         if not form.is_negative_on_region():
             beta, ell = form.nonnegative_witness()
-            value = _restrict_numeric(ctx, spec.expr, "C", beta, ell).h0()
+            value = _restrict_numeric(ctx, spec.expr, beta, ell).h0()
             witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
             headline = (
                 f"degree form {form.compact()} is not negative on the region: "
@@ -489,8 +467,7 @@ def _certify(
         if spec.pass_evidence is not None:
             evidence = spec.pass_evidence(form)
         headline = f"{evidence}; {spec.conclusion}"
-    status = PASS if witness is None else FAIL
-    return ClaimRecord(spec.claim_id, spec.title, mode, status, headline, form, details, witness)
+    return ClaimRecord(spec.claim_id, spec.title, mode, headline, form, details, witness)
 
 
 def _base_row_identity(
@@ -502,17 +479,15 @@ def _base_row_identity(
     C because C is a section of the ruling; the dimension identity is the
     checkable shadow of that bijection.  Symbolic mode samples b = 1..8.
     """
-    checked = []
-    ok = True
-    for beta in range(1, (beta_max or 8) + 1):
-        cls = DivisorClass(0, fiber_multiple * beta)
-        lhs = cohomology.h0(ctx, cls)
-        rhs = SplittingType((fiber_multiple * beta,)).h0()
-        agree = lhs == rhs == fiber_multiple * beta + 1
-        if abs(cls.b) <= cohomology.BRUTE_FORCE_BOUND:
-            agree = agree and cohomology.brute_force_h0(ctx, cls) == lhs
-        ok = ok and agree
-        checked.append(beta)
+    checked = list(range(1, (beta_max or 8) + 1))
+    ok = all(
+        cohomology.h0(ctx, cls) == SplittingType((cls.b,)).h0() == cls.b + 1
+        and (
+            abs(cls.b) > cohomology.BRUTE_FORCE_BOUND
+            or cohomology.brute_force_h0(ctx, cls) == cls.b + 1
+        )
+        for cls in (DivisorClass(0, fiber_multiple * beta) for beta in checked)
+    )
     info = {
         "identity": f"h0(O({fiber_multiple}b F)) = {fiber_multiple}b + 1 = h0 on P^1",
         "reason": (
@@ -532,7 +507,7 @@ def _base_row_identity(
 
 def _char0_tower(datum: ExtensionDatum) -> BundleExpr:
     """S^{4b}(S^4 E): the characteristic-zero symmetric-power tower."""
-    return Sym(Sym(ExtBundle(datum), 4), BETA.scale(4))
+    return Sym(Sym(datum, 4), BETA.scale(4))
 
 
 def peeling_vanishing_certificate(
@@ -635,7 +610,6 @@ def quotient_zero_conclusion(
             claim_id="sigma",
             title="zero map on global sections of the quotient surjection",
             mode=mode,
-            status=FAIL,
             headline="no conclusion emitted: a premise certificate failed",
             details=details,
             witness={"gate": details["gate"]},
@@ -665,7 +639,6 @@ def quotient_zero_conclusion(
         claim_id="sigma",
         title="zero map on global sections of the quotient surjection",
         mode=mode,
-        status=PASS,
         headline=(
             f"H^0(S^{{4b}}(S^4 E)(5bH) ->> O(5bH)) = 0 for {quantifier}; "
             "S^4(E)(H) is not pseudo-effective"
@@ -704,7 +677,7 @@ def frobenius_certificate(
     spec = VanishingSpec(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
-        Twist(Sym(Frob(ExtBundle(datum), q), BETA.scale(4)), a=ELL, b=BETA.scale(15)),
+        Twist(Sym(Frob(datum, q), BETA.scale(4)), a=ELL, b=BETA.scale(15)),
         details={
             "p": p,
             "frobenius_exponent": k,
@@ -757,7 +730,7 @@ def direct_not_psef_certificate(
     spec = VanishingSpec(
         "remark_t",
         "E itself is not pseudo-effective",
-        Twist(Sym(ExtBundle(datum), BETA.scale(4)), a=ELL, b=BETA.scale(3)),
+        Twist(Sym(datum, BETA.scale(4)), a=ELL, b=BETA.scale(3)),
         details={
             "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
             "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
@@ -795,7 +768,6 @@ def almost_nef_evidence(
             claim_id="almost_nef",
             title="nefness evidence by restriction",
             mode="exact",
-            status=FAIL,
             headline=f"restriction type undetermined: {exc}",
             witness={"error": str(exc)},
         )
@@ -816,7 +788,6 @@ def almost_nef_evidence(
         claim_id="almost_nef",
         title="nefness evidence by restriction",
         mode="exact",
-        status=PASS if ok else FAIL,
         headline=(
             f"E|_fiber = {format_splitting(fiber_type)} nef, "
             f"E|_C = {format_splitting(c_type)} not nef; C is the exceptional "
@@ -861,7 +832,7 @@ class VerificationReport:
         return None
 
     def claims(self) -> list[ClaimRecord]:
-        return [r for r in self.records if r.claim_id in _CLAIM_IDS]
+        return [r for r in self.records if r.claim_id not in _SETUP_IDS]
 
     def vanishing_claim_count(self) -> int:
         """Claims that certify an H^0 statement (everything but the evidence)."""
@@ -877,15 +848,13 @@ class VerificationReport:
         setup = {
             r.claim_id: r.to_json_dict() for r in self.records if r.claim_id in _SETUP_IDS
         }
-        claims = {
-            r.claim_id: r.to_json_dict() for r in self.records if r.claim_id in _CLAIM_IDS
-        }
+        claims = {r.claim_id: r.to_json_dict() for r in self.claims()}
         return {
             "schema": 1,
             "surface": {
                 "e": self.e,
                 "intersection": {"C.C": -self.e, "C.F": 1, "F.F": 0},
-                "canonical_class": format_class(DivisorClass(-2, -(self.e + 2))),
+                "canonical_class": format_class(SurfaceContext(self.e).canonical_class),
                 "polarization": format_class(H),
             },
             "characteristic": self.characteristic,

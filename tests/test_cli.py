@@ -41,6 +41,12 @@ def test_coh_polarization(capsys):
     assert "ample=yes (= very ample on F_e)" in out
 
 
+def test_coh_class_with_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "coh", "-e", "2", "--", "-2C-4F")
+    assert code == 0
+    assert "h0=0 h1=0 h2=1 chi=1 oracle_h0=0" in out
+
+
 def test_coh_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "coh", "-e", "2", "C+F+F")
     assert code == 2
@@ -168,6 +174,8 @@ def test_default_invocation_is_char0_replay(capsys):
     assert code == 0
     assert "characteristic 0, mode symbolic" in out
     assert "conclusion: not pseudo-effective" in out
+    _, verify_out, _ = run(capsys, "verify")
+    assert body(out) == body(verify_out)
 
 
 def test_verify_output_deterministic_modulo_header(capsys):

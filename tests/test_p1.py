@@ -73,6 +73,9 @@ def test_sym_power_rank(s, m):
 def test_sym_power_enumeration_refusal():
     with pytest.raises(ValueError, match="refusing"):
         SplittingType((0, 1, 2, 3, 4, 5)).sym_power(100)
+    # few monomials, but each sums m degrees: the work is m times the count
+    with pytest.raises(ValueError, match="refusing"):
+        SplittingType((0, 1)).sym_power(3_000_000)
 
 
 def test_frobenius_pullback():

@@ -14,7 +14,6 @@ from hirzcoh.verifier import (
     BETA,
     ELL,
     H,
-    ExtBundle,
     Frob,
     Sym,
     SymbolicUnsupported,
@@ -73,52 +72,54 @@ def test_restriction_certificate_ambiguous_for_steeper_twist():
 
 
 def _claim3_expr(datum):
-    return Twist(Sym(Sym(ExtBundle(datum), 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+    return Twist(Sym(Sym(datum, 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
 
 
 def test_restrict_numeric_claim3_degrees():
     datum = build_extension(CTX2)
     for beta, ell in [(1, 0), (1, 3), (2, 0), (3, 7)]:
-        st = v._restrict_numeric(CTX2, _claim3_expr(datum), "C", beta, ell)
+        st = v._restrict_numeric(CTX2, _claim3_expr(datum), beta, ell)
         assert st.pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
 
 
 def test_restrict_numeric_frobenius_degrees():
     datum = build_extension(CTX2)
-    expr = Twist(Sym(Frob(ExtBundle(datum), 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+    expr = Twist(Sym(Frob(datum, 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
     for beta, ell in [(1, 0), (2, 5)]:
-        st = v._restrict_numeric(CTX2, expr, "C", beta, ell)
+        st = v._restrict_numeric(CTX2, expr, beta, ell)
         assert st.pairs == (((15 - 16) * beta - 2 * ell, comb(4 * beta + 1, 1)),)
 
 
 def test_restrict_fiber():
     datum = build_extension(CTX2)
-    assert v._restrict_numeric(CTX2, ExtBundle(datum), "fiber", 1, 0) == SplittingType((0, 1))
+    assert v._leaf_restriction(CTX2, datum, "fiber") == SplittingType((0, 1))
 
 
 def test_restrict_symbolic_forms():
     datum = build_extension(CTX2)
-    res = v._restrict_symbolic(CTX2, _claim3_expr(datum), "C")
+    res = v._restrict_symbolic(CTX2, _claim3_expr(datum))
     assert res.degree == DegreeForm(0, -1, -2)
     assert res.rank == "C(4b + 4, 4)"
-    charp = Twist(Sym(Frob(ExtBundle(datum), 9), BETA.scale(4)), a=ELL, b=BETA.scale(15))
-    assert v._restrict_symbolic(CTX2, charp, "C").degree == DegreeForm(0, 15 - 36, -2)
-    base = Twist(Sym(Sym(ExtBundle(datum), 4), BETA.scale(4)), a=0, b=BETA.scale(15))
-    assert v._restrict_symbolic(CTX2, base, "C").degree == DegreeForm(0, -1, 0)
+    charp = Twist(Sym(Frob(datum, 9), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+    assert v._restrict_symbolic(CTX2, charp).degree == DegreeForm(0, 15 - 36, -2)
+    base = Twist(Sym(Sym(datum, 4), BETA.scale(4)), a=0, b=BETA.scale(15))
+    assert v._restrict_symbolic(CTX2, base).degree == DegreeForm(0, -1, 0)
 
 
 def test_restrict_symbolic_refuses_unbalanced():
     datum = build_extension(CTX2)
     with pytest.raises(SymbolicUnsupported, match="numeric sweep"):
-        v._restrict_symbolic(CTX2, ExtBundle(datum), "fiber")
+        v._restrict_symbolic(CTX2, split_control_datum(CTX2))
     with pytest.raises(SymbolicUnsupported):
-        v._restrict_symbolic(CTX2, _claim3_expr(split_control_datum(CTX2)), "C")
+        v._restrict_symbolic(CTX2, _claim3_expr(split_control_datum(CTX2)))
+    with pytest.raises(SymbolicUnsupported, match="parametric rank"):
+        v._restrict_symbolic(CTX2, Sym(Sym(datum, BETA), 2))
 
 
 def test_restrict_rejects_unknown_curve():
     datum = build_extension(CTX2)
     with pytest.raises(ValueError, match="unknown curve"):
-        v._restrict_numeric(CTX2, ExtBundle(datum), "D", 1, 0)
+        v._leaf_restriction(CTX2, datum, "D")
 
 
 def test_restricted_twist_degree_matches_intersection():
@@ -128,14 +129,8 @@ def test_restricted_twist_degree_matches_intersection():
         d = DivisorClass(a, b)
         for e in range(4):
             ctx = SurfaceContext(e)
-            got_c = v.restricted_twist_degree(
-                ctx, DegreeForm.constant(a), DegreeForm.constant(b), "C"
-            )
-            got_f = v.restricted_twist_degree(
-                ctx, DegreeForm.constant(a), DegreeForm.constant(b), "fiber"
-            )
-            assert got_c(1, 0) == ctx.intersect(d, C) == -e * a + b
-            assert got_f(1, 0) == ctx.intersect(d, F) == a
+            got = v.restricted_twist_degree(ctx, DegreeForm.constant(a), DegreeForm.constant(b))
+            assert got(1, 0) == ctx.intersect(d, C) == -e * a + b
 
 
 # -- individual certificates --------------------------------------------------
@@ -372,6 +367,23 @@ def test_gate_integrity():
             rep = run_full_replay(SurfaceContext(e), characteristic, "symbolic")
             assert (rep.overall == "PASS") == all(r.passed for r in rep.records)
             assert (rep.conclusion == "not pseudo-effective") == (rep.overall == "PASS")
+
+
+def test_status_follows_witness():
+    assert v.ClaimRecord("x", "t", "exact").status == "PASS"
+    assert v.ClaimRecord("x", "t", "exact", witness={"error": "e"}).status == "FAIL"
+    records = [
+        peeling_vanishing_certificate(CTX2, split_control_datum(CTX2), "sweep", 5),
+        base_row_certificate(CTX2, fiber_multiple=16),
+    ]
+    for characteristic in (0, 5):
+        for e in (1, 2, 3):
+            for mode, beta_max in (("symbolic", None), ("sweep", 5)):
+                rep = run_full_replay(SurfaceContext(e), characteristic, mode, beta_max)
+                records += rep.records
+    assert any(r.witness is None for r in records) and any(r.witness for r in records)
+    for rec in records:
+        assert (rec.status == "FAIL") == (rec.witness is not None), rec.claim_id
 
 
 def test_symbolic_pass_implies_sweep_pass():
