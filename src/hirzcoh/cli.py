@@ -39,7 +39,11 @@ def _char_type(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"characteristic must be an integer, got {text!r}")
-    if value != 0 and not is_prime(value):
+    try:
+        prime = value == 0 or is_prime(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"characteristic must be 0 or a prime, got {value}")
     return value
 

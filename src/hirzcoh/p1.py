@@ -17,6 +17,7 @@ h^0 = 0 for the whole parameter region at once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -104,9 +105,15 @@ class SplittingType:
 
     # -- cohomology and positivity -------------------------------------
 
-    def h0(self) -> int:
-        """dim H^0 = sum of (d_i + 1) over summands with d_i >= 0."""
-        return sum(r * (d + 1) for d, r in self._pairs if d >= 0)
+    def h0(self, twist: int = 0) -> int:
+        """dim H^0 of the bundle tensored with O(twist).
+
+        That is the sum of (d_i + twist + 1) over summands with
+        d_i + twist >= 0; no twisted type is built.  The pairs are sorted,
+        so the summands without sections are skipped by bisection.
+        """
+        pairs, k = self._pairs, twist + 1
+        return sum(r * (d + k) for d, r in pairs[bisect_left(pairs, (-twist,)) :])
 
     def h1(self) -> int:
         """dim H^1 = sum of (-d_i - 1) over summands with d_i <= -2."""

@@ -17,9 +17,11 @@ one restricts a symmetric-power twist of E to C, where all summands share
 one degree that is an affine form in the parameters (b, l); negativity of
 that form on the whole region b >= 1, l >= 0 certifies h^0 = 0 for every
 parameter value at once.  Sweep mode replays the same h^0 computations
-numerically on a finite grid.  Deliberately corrupted inputs (the split
-direct sum, an inflated twist) must make the affected certificate FAIL;
-the test suite checks that they do.
+numerically on a finite grid: it builds each tower once per b as a
+splitting type, and since l enters only as a shift of every degree, it
+reads h^0 at each l off the shifted pairs.  Deliberately corrupted inputs
+(the split direct sum, an inflated twist) must make the affected
+certificate FAIL; the test suite checks that they do.
 
 Every record is a pure computation; the orchestrator merges them in a
 fixed claim order, so concurrent evaluation would be deterministic.
@@ -145,19 +147,32 @@ def _leaf_restriction(ctx: SurfaceContext, datum: ExtensionDatum, curve: str) ->
 
 
 def _restrict_numeric(
-    ctx: SurfaceContext, expr: BundleExpr, beta: int, ell: int
-) -> SplittingType:
-    """Splitting type of expr|_C at the parameter point (beta, ell)."""
+    ctx: SurfaceContext, expr: BundleExpr, beta: int
+) -> tuple[SplittingType, int]:
+    """expr|_C at (beta, 0), and the slope one step of l adds to every degree.
+
+    The restriction at (beta, ell) is the returned type twisted by
+    ``slope * ell``: l enters only through twists, S^m(V(n)) = S^m(V)(mn)
+    scales the slope by m, and Frobenius by q.  A symmetric power whose
+    exponent depends on l has no such form and is refused.
+    """
     if isinstance(expr, ExtensionDatum):
-        return _leaf_restriction(ctx, expr, "C")
+        return _leaf_restriction(ctx, expr, "C"), 0
     if isinstance(expr, Sym):
-        m = expr.power(beta, ell) if isinstance(expr.power, DegreeForm) else expr.power
-        return _restrict_numeric(ctx, expr.inner, beta, ell).sym_power(m)
+        m = expr.power
+        if isinstance(m, DegreeForm):
+            if m.cl:
+                raise ValueError(f"symmetric power exponent {m.compact()} depends on l")
+            m = m(beta)
+        st, slope = _restrict_numeric(ctx, expr.inner, beta)
+        return st.sym_power(m), m * slope
     if isinstance(expr, Twist):
-        shift = restricted_twist_degree(ctx, expr.a, expr.b)(beta, ell)
-        return _restrict_numeric(ctx, expr.inner, beta, ell).twist(shift)
+        form = restricted_twist_degree(ctx, expr.a, expr.b)
+        st, slope = _restrict_numeric(ctx, expr.inner, beta)
+        return st.twist(form(beta)), slope + form.cl
     if isinstance(expr, Frob):
-        return _restrict_numeric(ctx, expr.inner, beta, ell).frobenius_pullback(expr.q)
+        st, slope = _restrict_numeric(ctx, expr.inner, beta)
+        return st.frobenius_pullback(expr.q), expr.q * slope
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
@@ -251,16 +266,34 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError("sweep mode needs beta_max >= 1")
 
 
+# Miller-Rabin on the first twelve prime bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test; n past the deterministic bound is refused."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -406,13 +439,18 @@ class VanishingSpec:
 def _sweep_vanishing(
     ctx: SurfaceContext, expr: BundleExpr, beta_max: int
 ) -> tuple[int, dict | None]:
-    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins."""
+    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins.
+
+    The tower is built once per b as a splitting type; each l then reads
+    h^0 off its pairs shifted by ``slope * l``.  Every grid point is still
+    computed from the splitting type, never from the degree form.
+    """
     evaluations = 0
     for beta in range(1, beta_max + 1):
+        st, slope = _restrict_numeric(ctx, expr, beta)
         for ell in range(0, 5 * beta + 1):
-            st = _restrict_numeric(ctx, expr, beta, ell)
             evaluations += 1
-            value = st.h0()
+            value = st.h0(slope * ell)
             if value:
                 return evaluations, {"beta": beta, "ell": ell, "h0": value}
     return evaluations, None
@@ -447,7 +485,8 @@ def _certify(
         evidence = f"restricted degrees {form.compact()} < 0 on the region"
         if not form.is_negative_on_region():
             beta, ell = form.nonnegative_witness()
-            value = _restrict_numeric(ctx, spec.expr, beta, ell).h0()
+            st, slope = _restrict_numeric(ctx, spec.expr, beta)
+            value = st.h0(slope * ell)
             witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
             headline = (
                 f"degree form {form.compact()} is not negative on the region: "

@@ -74,6 +74,23 @@ def test_coh_rejects_composite_char(capsys):
     assert exc.value.code == 2
 
 
+def test_large_prime_characteristic(capsys):
+    code, out, _ = run(capsys, "verify", "--char", "1000000000000000003")
+    assert code == 0
+    assert "overall PASS" in out
+    code, out, _ = run(capsys, "coh", "-e", "2", "--char", "1000000000000000003", "C")
+    assert code == 0
+    assert "characteristic-independent" in out
+
+
+def test_characteristic_past_primality_bound_exits_2(capsys):
+    for sub in (["verify"], ["coh", "C"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*sub[:1], "--char", "5000000000000000000000001", *sub[1:]])
+        assert exc.value.code == 2
+        assert "too large" in capsys.readouterr().err
+
+
 def test_cone(capsys):
     code, out, _ = run(capsys, "cone", "-e", "2", "C")
     assert code == 0

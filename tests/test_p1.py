@@ -29,6 +29,12 @@ def test_h0_h1_examples():
     assert SplittingType().h0() == 0 and SplittingType().h1() == 0
 
 
+@given(small_types, st.integers(-30, 30))
+def test_h0_of_twist_reads_shifted_pairs(s, n):
+    assert s.h0(n) == s.twist(n).h0()
+    assert SplittingType().h0(n) == 0
+
+
 def test_twist():
     assert SplittingType((-1, -1)).twist(3) == SplittingType((2, 2))
     assert SplittingType().twist(5) == SplittingType()

@@ -78,16 +78,140 @@ def _claim3_expr(datum):
 def test_restrict_numeric_claim3_degrees():
     datum = build_extension(CTX2)
     for beta, ell in [(1, 0), (1, 3), (2, 0), (3, 7)]:
-        st = v._restrict_numeric(CTX2, _claim3_expr(datum), beta, ell)
-        assert st.pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
+        st, slope = v._restrict_numeric(CTX2, _claim3_expr(datum), beta)
+        assert st.twist(slope * ell).pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
 
 
 def test_restrict_numeric_frobenius_degrees():
     datum = build_extension(CTX2)
     expr = Twist(Sym(Frob(datum, 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
     for beta, ell in [(1, 0), (2, 5)]:
-        st = v._restrict_numeric(CTX2, expr, beta, ell)
-        assert st.pairs == (((15 - 16) * beta - 2 * ell, comb(4 * beta + 1, 1)),)
+        st, slope = v._restrict_numeric(CTX2, expr, beta)
+        assert st.twist(slope * ell).pairs == (((15 - 16) * beta - 2 * ell, comb(4 * beta + 1, 1)),)
+
+
+def _spec(certificate, *args, **kwargs):
+    """The VanishingSpec a certificate hands to ``_certify``."""
+    seen = []
+    real = v._certify
+    v._certify = lambda ctx, spec, mode, beta_max: seen.append(spec)
+    try:
+        certificate(CTX2, *args, **kwargs)
+    finally:
+        v._certify = real
+    return seen[0]
+
+
+def _grid(beta_max):
+    return [(beta, ell) for beta in range(1, beta_max + 1) for ell in range(5 * beta + 1)]
+
+
+# (certificate, positional args, keyword args, rank of the tower at b)
+_TOWERS = {
+    "claim3": (peeling_vanishing_certificate, (), {}, lambda b: comb(4 * b + 4, 4)),
+    "claim4_m15": (base_row_certificate, (), {}, lambda b: comb(4 * b + 4, 4)),
+    "claim4_m16": (base_row_certificate, (), {"fiber_multiple": 16}, lambda b: comb(4 * b + 4, 4)),
+    **{
+        f"charp_p{p}": (frobenius_certificate, (p,), {}, lambda b: 4 * b + 1)
+        for p in (2, 3, 5, 7)
+    },
+    "remark_t": (direct_not_psef_certificate, (), {}, lambda b: 4 * b + 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_TOWERS))
+def test_restrict_numeric_matches_degree_form(name):
+    certificate, args, kwargs, rank = _TOWERS[name]
+    expr = _spec(certificate, *args, **kwargs).expr
+    form = v._restrict_symbolic(CTX2, expr).degree
+    for beta in range(1, 7):
+        st, slope = v._restrict_numeric(CTX2, expr, beta)
+        for ell in range(5 * beta + 1):
+            expected = SplittingType.from_pairs([(form(beta, ell), rank(beta))])
+            assert st.twist(slope * ell) == expected, (beta, ell)
+
+
+def _brute_sym(degrees, m):
+    return [sum(c) for c in combinations_with_replacement(degrees, m)]
+
+
+def test_restrict_numeric_split_control_brute_force():
+    # E|_C = O(-2) + O for the split sum: every tower is unbalanced, so no
+    # degree form exists and the monomials are enumerated here instead
+    split = split_control_datum(CTX2)
+    towers = {
+        "claim3": lambda b: _brute_sym(_brute_sym([-2, 0], 4), 4 * b),
+        "charp_p3": lambda b: _brute_sym([-18, 0], 4 * b),
+        "remark_t": lambda b: _brute_sym([-2, 0], 4 * b),
+    }
+    specs = {
+        "claim3": _spec(peeling_vanishing_certificate, split),
+        "charp_p3": _spec(frobenius_certificate, 3, split),
+        "remark_t": _spec(direct_not_psef_certificate, split),
+    }
+    for name, spec in specs.items():
+        twist = spec.expr
+        for beta, ell in _grid(2):
+            st, slope = v._restrict_numeric(CTX2, twist, beta)
+            shift = CTX2.intersect(DivisorClass(twist.a(beta, ell), twist.b(beta, ell)), C)
+            expected = SplittingType(d + shift for d in towers[name](beta))
+            assert st.twist(slope * ell) == expected, (name, beta, ell)
+
+
+def _at_point(expr, beta, ell):
+    """Per-point reference: expr|_C with (beta, ell) substituted at every node."""
+    if isinstance(expr, v.ExtensionDatum):
+        return v._leaf_restriction(CTX2, expr, "C")
+    inner = _at_point(expr.inner, beta, ell)
+    if isinstance(expr, Sym):
+        return inner.sym_power(expr.power if isinstance(expr.power, int) else expr.power(beta))
+    if isinstance(expr, Twist):
+        return inner.twist(CTX2.intersect(DivisorClass(expr.a(beta, ell), expr.b(beta, ell)), C))
+    return inner.frobenius_pullback(expr.q)
+
+
+def test_restrict_numeric_slope_through_sym_and_frob():
+    # the certificates twist by l only at the top; here the l-twist sits
+    # under Sym and Frob, so the slope must scale by m and by q
+    datum = build_extension(CTX2)
+    split = split_control_datum(CTX2)
+    exprs = [
+        Twist(Frob(Sym(Twist(datum, a=ELL, b=1), BETA.scale(2)), 3), a=ELL.scale(2), b=BETA),
+        Frob(Sym(Twist(split, a=ELL), 3), 2),
+        Sym(Twist(Sym(split, BETA), b=ELL.scale(-1)), 2),
+    ]
+    for expr in exprs:
+        for beta, ell in _grid(3):
+            st, slope = v._restrict_numeric(CTX2, expr, beta)
+            assert st.twist(slope * ell) == _at_point(expr, beta, ell), (expr, beta, ell)
+
+
+def test_restrict_numeric_refuses_ell_dependent_sym():
+    datum = build_extension(CTX2)
+    with pytest.raises(ValueError, match="depends on l"):
+        v._restrict_numeric(CTX2, Sym(datum, ELL), 1)
+    with pytest.raises(ValueError, match="depends on l"):
+        v._restrict_numeric(CTX2, Twist(Sym(datum, BETA + ELL), a=ELL), 2)
+
+
+@pytest.mark.parametrize("name", ["claim3", "claim4_m15", "charp_p3", "remark_t"])
+def test_sweep_builds_each_tower_once_per_beta(name, monkeypatch):
+    certificate, args, kwargs, _ = _TOWERS[name]
+    beta_max = 7
+    spec = _spec(certificate, *args, **kwargs)
+    top_level = []
+    real = v._restrict_numeric
+
+    def counting(ctx, expr, beta):
+        if expr == spec.expr:
+            top_level.append(beta)
+        return real(ctx, expr, beta)
+
+    monkeypatch.setattr(v, "_restrict_numeric", counting)
+    rec = certificate(CTX2, *args, mode="sweep", beta_max=beta_max, **kwargs)
+    assert rec.passed
+    assert top_level == list(range(1, beta_max + 1))
+    assert rec.details["evaluations"] == sum(5 * b + 1 for b in range(1, beta_max + 1))
 
 
 def test_restrict_fiber():
@@ -236,6 +360,26 @@ def test_frobenius_certificate_rejects_composites():
     for bad in (1, 4, 6, 9, 15):
         with pytest.raises(ValueError, match="prime"):
             frobenius_certificate(CTX2, bad)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(100_000) if v.is_prime(n)] == [
+        n for n in range(100_000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_large():
+    assert not v.is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not v.is_prime(10**18 + 1)
+    assert v.is_prime(10**18 + 3)
+    assert v.is_prime(2**61 - 1)
+    assert not v.is_prime(1_000_003 * 1_000_000_007)
+    with pytest.raises(ValueError, match="too large"):
+        v.is_prime(5 * 10**24 + 1)
 
 
 def test_frobenius_certificate_sweep():
