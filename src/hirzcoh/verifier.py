@@ -266,9 +266,11 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError("sweep mode needs beta_max >= 1")
 
 
-# Miller-Rabin on the first twelve prime bases decides primality exactly
-# for every n below this bound (Sorenson and Webster, 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first thirteen prime bases decides primality exactly
+# for every n below this bound, psi_13, which is itself the least strong
+# pseudoprime to all thirteen (Sorenson and Webster, 2015).  Without base 41
+# the bound would be psi_12 = 318_665_857_834_031_151_167_461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 

@@ -83,6 +83,19 @@ def test_large_prime_characteristic(capsys):
     assert "characteristic-independent" in out
 
 
+def test_strong_pseudoprime_characteristic_is_refused(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin on every base 2..37
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--char", "318665857834031151167461"])
+    assert exc.value.code == 2
+
+
+def test_prime_just_below_primality_bound(capsys):
+    code, out, _ = run(capsys, "verify", "--char", "3317044064679887385961813")
+    assert code == 0
+    assert "overall PASS" in out
+
+
 def test_characteristic_past_primality_bound_exits_2(capsys):
     for sub in (["verify"], ["coh", "C"]):
         with pytest.raises(SystemExit) as exc:

@@ -378,8 +378,21 @@ def test_is_prime_large():
     assert v.is_prime(10**18 + 3)
     assert v.is_prime(2**61 - 1)
     assert not v.is_prime(1_000_003 * 1_000_000_007)
+    # psi_12, the least strong pseudoprime to the bases 2..37
+    assert not v.is_prime(318665857834031151167461)
+    assert 318665857834031151167461 == 399165290221 * 798330580441
     with pytest.raises(ValueError, match="too large"):
         v.is_prime(5 * 10**24 + 1)
+
+
+def test_is_prime_decides_up_to_the_bound():
+    # psi_13 = 1287836182261 * 2575672364521 would pass all thirteen bases,
+    # so the bound itself is refused; the largest prime below it is decided.
+    assert v._MR_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="too large"):
+        v.is_prime(v._MR_BOUND)
+    assert v.is_prime(v._MR_BOUND - 168)
+    assert not any(v.is_prime(n) for n in range(v._MR_BOUND - 167, v._MR_BOUND))
 
 
 def test_frobenius_certificate_sweep():
