@@ -1,8 +1,8 @@
 """Pure-Python lattice kernel behind the lattice-point oracle.
 
 Deliberately formula-free: the count walks every lattice point of the
-polygon one at a time, so it shares nothing with the pushforward route to
-h^0 beyond the polygon itself.
+polygon one at a time, so it shares nothing with the closed-form row sum
+of ``cohomology.h0`` beyond the polygon itself.
 """
 
 

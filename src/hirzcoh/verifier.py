@@ -514,7 +514,11 @@ def _certify(
 def _base_row_identity(
     ctx: SurfaceContext, fiber_multiple: int, beta_max: int | None
 ) -> tuple[bool, dict]:
-    """Check h^0(O(m*b*F)) = m*b + 1 = h^0 on P^1, via both surface routes.
+    """Check h^0(O(m*b*F)) = m*b + 1 = h^0(O(m*b)) on P^1 by three routes.
+
+    The routes are the closed-form row sum ``cohomology.h0``, h^0 of the
+    line bundle O(m*b) on P^1, and the lattice-point oracle, which is
+    skipped past its enumeration bound.
 
     Sections of a bundle pulled back from the base restrict bijectively to
     C because C is a section of the ruling; the dimension identity is the

@@ -1,16 +1,46 @@
 """Command-line golden outputs, exit codes, and report determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hirzcoh import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv):
+    """Run the CLI in a child capped at 1 GB of address space and 60 s.
+
+    For inputs whose cost could grow with the size of the integers: a
+    regression fails the test instead of exhausting the machine.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hirzcoh.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=cap,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def body(out):
@@ -60,6 +90,26 @@ def test_coh_oracle_bound_skips_column(capsys):
     assert "oracle_h0" not in lines[1]
     assert lines[1].startswith("h0=") and "chi=" in lines[1]
     assert any("oracle column skipped" in line for line in lines)
+
+
+def test_coh_huge_class_is_exact():
+    code, out, err = run_capped("coh", "-e", "2", "1000000000000000000C+1000000000000000000F")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == (
+        "h0=250000000000000001000000000000000001 h1=250000000000000000000000000000000000 "
+        "h2=0 chi=1000000000000000001"
+    )
+    assert lines[-1].startswith("note: oracle column skipped: brute-force enumeration is limited")
+
+
+def test_coh_class_past_digit_limit_exits_2():
+    n = "1" + "0" * 2499
+    code, out, err = run_capped("coh", "-e", "2", f"{n}C+{n}F")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "integer string conversion" in line
 
 
 def test_coh_char_note(capsys):

@@ -1,7 +1,7 @@
-"""Smoke run of the traced replay benchmark: it must finish, check every op
-and report every per-layer metric that BENCHMARK.json declares.
+"""Smoke runs of the traced benchmark workloads: each must finish, check
+every op and report every per-layer metric that BENCHMARK.json declares.
 
-The tracer hooks the verifier's interpreter by name, so a renamed or
+The tracer hooks the package's entry points by name, so a renamed or
 re-signatured entry point shows up here as a failed or missing metric.
 No timing is asserted.
 """
@@ -11,16 +11,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_replay_sweep_smoke():
+@pytest.mark.parametrize("workload", ["replay_sweep", "coh_table"])
+def test_traced_workload_smoke(workload):
     proc = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
             "--workload",
-            "replay_sweep",
+            workload,
             "--seed",
             "1",
             "--seconds",
@@ -38,6 +41,12 @@ def test_traced_replay_sweep_smoke():
     assert result["correct"] is True
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    missing = [m["name"] for m in declared["per_layer"] if m["name"] not in result["metrics"]]
+    metrics = result["metrics"]
+    missing = [m["name"] for m in declared["per_layer"] if m["name"] not in metrics]
     assert missing == []
-    assert result["metrics"]["verifier.evaluations"]["value"] > 0
+    if workload == "replay_sweep":
+        assert metrics["verifier.evaluations"]["value"] > 0
+    else:
+        # the closed forms answer every class; only the oracle walks points
+        assert metrics["cohomology.pushforward_splitting.calls"]["value"] == 0
+        assert metrics["cohomology.brute_force_h0.calls"]["value"] > 0
