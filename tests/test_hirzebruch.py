@@ -1,5 +1,7 @@
 """Picard lattice: intersection form, cones, class grammar."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from hirzcoh.hirzebruch import (
     format_class,
     parse_class,
 )
+from hirzcoh.p1 import DegreeForm
 
 H = DivisorClass(1, 3)
 
@@ -47,6 +50,51 @@ def test_canonical_class_adjunction(e):
 def test_negative_twist_rejected():
     with pytest.raises(ValueError):
         SurfaceContext(-1)
+    with pytest.raises(ValueError):
+        SurfaceContext(e=-1)
+
+
+# (value, the same value built another way, a value differing in the
+# last field, field names, repr text) for each immutable value class
+VALUE_CASES = {
+    "DivisorClass": (
+        C,
+        DivisorClass(a=1, b=0),
+        DivisorClass(1, 1),
+        ("a", "b"),
+        "DivisorClass(a=1, b=0)",
+    ),
+    "SurfaceContext": (
+        SurfaceContext(),
+        SurfaceContext(e=2),
+        SurfaceContext(3),
+        ("e",),
+        "SurfaceContext(e=2)",
+    ),
+    "DegreeForm": (
+        DegreeForm(cb=1),
+        DegreeForm(0, 1, 0),
+        DegreeForm(0, 1, 1),
+        ("c0", "cb", "cl"),
+        "DegreeForm(c0=0, cb=1, cl=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_semantics(name):
+    value, same, other, fields, text = VALUE_CASES[name]
+    assert value == same and hash(value) == hash(same)
+    assert value != other and value in {same} and other not in {same}
+    assert repr(value) == repr(same) == text
+    as_tuple = tuple(getattr(value, f) for f in fields)
+    assert value != as_tuple and value.__eq__(as_tuple) is NotImplemented
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
 
 
 def test_cone_examples():
