@@ -10,8 +10,10 @@ cohomology
     h^0/h^1/h^2, Euler characteristic, and the lattice-point oracle.
 verifier
     Certificates and the full replay of the almost-nef-not-psef extension.
+primes
+    The exact primality test behind ``--char``.
 cli
-    The ``hirzcoh`` command.
+    The ``hirzcoh`` command; only ``verify`` imports the verifier.
 kernels
     The lattice-enumeration kernel behind the oracle.
 """

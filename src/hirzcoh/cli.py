@@ -8,15 +8,16 @@ Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
 to be excluded from golden comparisons).  JSON reports carry no timestamp
 at all.
+
+Only ``verify`` imports the verifier, ``json``, ``datetime`` and
+``pathlib``: ``coh``, ``cone`` and ``split`` are mostly interpreter start
+and import, so they load only the calculators they use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from datetime import datetime, timezone
-from pathlib import Path
 
 from . import cohomology
 from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class
@@ -27,7 +28,7 @@ from .p1 import (
     format_splitting,
     parse_splitting,
 )
-from .verifier import H, VerificationReport, is_prime, run_full_replay
+from .primes import is_prime
 
 
 def _yesno(flag: bool) -> str:
@@ -146,6 +147,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def render_report(report: VerificationReport, timestamp: str | None = None) -> str:
+    import json
+
+    from .verifier import H
+
     lines = []
     if timestamp:
         lines.append(f"# hirzcoh verify - generated {timestamp}")
@@ -181,6 +186,12 @@ def render_report(report: VerificationReport, timestamp: str | None = None) -> s
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+    from datetime import datetime, timezone
+    from pathlib import Path
+
+    from .verifier import run_full_replay
+
     ctx = SurfaceContext(args.e)
     report = run_full_replay(ctx, args.char, args.mode, args.beta_max)
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

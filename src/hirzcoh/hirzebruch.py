@@ -22,19 +22,43 @@ function is safe to call from any thread.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class ClassParseError(ValueError):
     """A divisor-class string does not match the ``[n]C±[m]F`` grammar."""
 
 
-@dataclass(frozen=True)
+# The value classes are plain __slots__ classes, not dataclasses, so that
+# importing them does not load dataclasses (and inspect) at every CLI start.
+# __init__ sets the slots through object.__setattr__; __reduce__ rebuilds an
+# instance through __init__, since copy and pickle would set slots directly.
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class DivisorClass:
     """An integral class ``a*C + b*F`` in Pic(F_e)."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return DivisorClass, (self.a, self.b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -60,15 +84,30 @@ F = DivisorClass(0, 1)
 ZERO = DivisorClass(0, 0)
 
 
-@dataclass(frozen=True)
 class SurfaceContext:
     """The Hirzebruch surface F_e: the twist e plus everything derived from it."""
 
-    e: int = 2
+    __slots__ = ("e",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if self.e < 0:
-            raise ValueError(f"Hirzebruch twist must be nonnegative, got e={self.e}")
+    def __init__(self, e: int = 2) -> None:
+        if e < 0:
+            raise ValueError(f"Hirzebruch twist must be nonnegative, got e={e}")
+        object.__setattr__(self, "e", e)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.e == other.e
+
+    def __hash__(self) -> int:
+        return hash((self.e,))
+
+    def __repr__(self) -> str:
+        return f"SurfaceContext(e={self.e!r})"
+
+    def __reduce__(self):
+        return SurfaceContext, (self.e,)
 
     @property
     def canonical_class(self) -> DivisorClass:

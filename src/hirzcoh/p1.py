@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable
@@ -188,7 +187,12 @@ def classify_extension(sub_deg: int, quot_deg: int, nonsplit: bool) -> Splitting
     )
 
 
-@dataclass(frozen=True)
+# Immutable like hirzebruch's value classes, and for the same reason not a
+# dataclass; see the comment on hirzebruch._frozen.
+def _frozen(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class DegreeForm:
     """Affine integer form ``c0 + cb*b + cl*l`` over parameters b >= 1, l >= 0.
 
@@ -196,9 +200,27 @@ class DegreeForm:
     integers >= 1 and l over integers >= 0.
     """
 
-    c0: int = 0
-    cb: int = 0
-    cl: int = 0
+    __slots__ = ("c0", "cb", "cl")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, c0: int = 0, cb: int = 0, cl: int = 0) -> None:
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "cb", cb)
+        object.__setattr__(self, "cl", cl)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.c0 == other.c0 and self.cb == other.cb and self.cl == other.cl
+
+    def __hash__(self) -> int:
+        return hash((self.c0, self.cb, self.cl))
+
+    def __repr__(self) -> str:
+        return f"DegreeForm(c0={self.c0!r}, cb={self.cb!r}, cl={self.cl!r})"
+
+    def __reduce__(self):
+        return DegreeForm, (self.c0, self.cb, self.cl)
 
     @classmethod
     def constant(cls, c: int) -> "DegreeForm":

@@ -42,6 +42,7 @@ from .p1 import (
     classify_extension,
     format_splitting,
 )
+from .primes import is_prime
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -264,39 +265,6 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError(f"mode must be 'symbolic' or 'sweep', got {mode!r}")
     if mode == "sweep" and (beta_max is None or beta_max < 1):
         raise ValueError("sweep mode needs beta_max >= 1")
-
-
-# Miller-Rabin on the first thirteen prime bases decides primality exactly
-# for every n below this bound, psi_13, which is itself the least strong
-# pseudoprime to all thirteen (Sorenson and Webster, 2015).  Without base 41
-# the bound would be psi_12 = 318_665_857_834_031_151_167_461.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality test; n past the deterministic bound is refused."""
-    if n >= _MR_BOUND:
-        raise ValueError(f"{n} is too large: primality is decided only below {_MR_BOUND}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment of a child that imports hirzcoh from this checkout."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def run_capped(*argv):
     """Run the CLI in a child capped at 1 GB of address space and 60 s.
 
@@ -30,17 +36,39 @@ def run_capped(*argv):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "hirzcoh.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=child_env(),
         preexec_fn=cap,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def imported_modules(*argv):
+    """Exit code and the modules a cold ``python -m hirzcoh.cli`` child imports.
+
+    Read from ``-X importtime``, which names every module on its first
+    import.  Modules that interpreter start-up (``site``) loads are left
+    out: the CLI does not choose them.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hirzcoh.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    names = [
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    if "site" in names:
+        names = names[names.index("site") + 1 :]
+    return proc.returncode, set(names)
 
 
 def body(out):
@@ -303,3 +331,30 @@ def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
     assert "overall PASS" in out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err and not path.exists()
+
+
+# modules only ``verify`` needs; the calculators must start without them
+VERIFY_ONLY_MODULES = {"hirzcoh.verifier", "dataclasses", "json", "datetime"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coh", "-e", "2", "--", "C+3F"),
+        ("coh", "--char", "7", "--", "C"),
+        ("cone", "-e", "1", "--", "C+3F"),
+        ("split", "[-1,2]", "sym:3"),
+    ],
+    ids=["coh", "coh_char", "cone", "split"],
+)
+def test_calculators_cold_start_without_verifier(argv):
+    code, modules = imported_modules(*argv)
+    assert code == 0
+    assert "hirzcoh.cohomology" in modules
+    assert modules & VERIFY_ONLY_MODULES == set()
+
+
+def test_verify_cold_start_loads_verifier():
+    code, modules = imported_modules("verify")
+    assert code == 0
+    assert "hirzcoh.verifier" in modules

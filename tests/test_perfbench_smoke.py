@@ -7,6 +7,7 @@ No timing is asserted.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,27 @@ def test_traced_workload_smoke(workload):
         # the closed forms answer every class; only the oracle walks points
         assert metrics["cohomology.pushforward_splitting.calls"]["value"] == 0
         assert metrics["cohomology.brute_force_h0.calls"]["value"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, replays",
+    [(("verify", "--char", "3"), 1), (("coh", "-e", "2", "--", "C+3F"), 0)],
+    ids=["verify", "coh"],
+)
+def test_traced_cli_smoke(argv, replays):
+    """The tracer still wraps what the CLI imports only when a command needs it."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/clitrace.py", *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, mark, snap = proc.stderr.rpartition("perfbench-trace ")
+    assert mark
+    spans = json.loads(snap)["spans"]
+    assert spans["cli.main"][0] == 1
+    assert spans.get("verifier.run_full_replay", (0,))[0] == replays

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from hirzcoh import cohomology as coh
+from hirzcoh import primes
 from hirzcoh import verifier as v
 from hirzcoh.hirzebruch import C, F, DivisorClass, SurfaceContext
 from hirzcoh.p1 import DegreeForm, SplittingType
@@ -388,11 +389,14 @@ def test_is_prime_large():
 def test_is_prime_decides_up_to_the_bound():
     # psi_13 = 1287836182261 * 2575672364521 would pass all thirteen bases,
     # so the bound itself is refused; the largest prime below it is decided.
-    assert v._MR_BOUND == 1287836182261 * 2575672364521
+    bound = primes._MR_BOUND
+    assert bound == 1287836182261 * 2575672364521
     with pytest.raises(ValueError, match="too large"):
-        v.is_prime(v._MR_BOUND)
-    assert v.is_prime(v._MR_BOUND - 168)
-    assert not any(v.is_prime(n) for n in range(v._MR_BOUND - 167, v._MR_BOUND))
+        v.is_prime(bound)
+    assert v.is_prime(bound - 168)
+    assert not any(v.is_prime(n) for n in range(bound - 167, bound))
+    # the verifier's name is the primes module's function, not a copy
+    assert v.is_prime is primes.is_prime
 
 
 def test_frobenius_certificate_sweep():
