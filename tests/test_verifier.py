@@ -458,6 +458,25 @@ def test_almost_nef_evidence():
     assert rec.details["label"] == "evidence, not proof"
 
 
+def test_almost_nef_evidence_ambiguous_restriction():
+    # on F_3 the degree gap on C is -3, so the nonsplit restriction is not
+    # determined; the replay stops at "restriction" and no golden reaches here
+    error = (
+        "ambiguous splitting type: a nonsplit extension of O(0) by O(-3) is "
+        "not determined by nonsplitness alone (degree gap -3)"
+    )
+    assert almost_nef_evidence(SurfaceContext(3)).to_json_dict() == {
+        "id": "almost_nef",
+        "title": "nefness evidence by restriction",
+        "mode": "exact",
+        "status": "FAIL",
+        "headline": f"restriction type undetermined: {error}",
+        "degree_form": None,
+        "details": {},
+        "witness": {"error": error},
+    }
+
+
 # -- bookkeeping invariants ---------------------------------------------------
 
 
