@@ -140,20 +140,22 @@ def _cmd_split(args: argparse.Namespace) -> int:
     st = _parse_split_input(args.bundle)
     for token in args.ops:
         st = _apply_op(st, token)
-    print(" ".join([args.bundle, *args.ops]).strip())
-    print(f"= {format_splitting(st)}")
-    print(f"rank={st.rank} h0={st.h0()} h1={st.h1()}")
+    # format every line before printing any, so a refusal leaves stdout empty
+    lines = [
+        " ".join([args.bundle, *args.ops]).strip(),
+        f"= {format_splitting(st)}",
+        f"rank={st.rank} h0={st.h0()} h1={st.h1()}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
-def render_report(report: VerificationReport, timestamp: str | None = None) -> str:
+def render_report(report: VerificationReport, timestamp: str) -> str:
     import json
 
     from .verifier import H
 
-    lines = []
-    if timestamp:
-        lines.append(f"# hirzcoh verify - generated {timestamp}")
+    lines = [f"# hirzcoh verify - generated {timestamp}"]
     ctx = SurfaceContext(report.e)
     lines.append(
         f"surface F_{report.e}: C.C = {-report.e}, C.F = 1, F.F = 0; "
@@ -195,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ctx = SurfaceContext(args.e)
     report = run_full_replay(ctx, args.char, args.mode, args.beta_max)
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    print(render_report(report, timestamp=stamp))
+    print(render_report(report, stamp))
     if args.json:
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
         try:

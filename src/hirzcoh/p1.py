@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, e, log2
 from typing import Iterable
 
 # Enumerating the m-th symmetric power sums m degrees for each monomial;
@@ -30,6 +30,10 @@ _SYM_ENUMERATION_LIMIT = 5_000_000
 
 # degrees() refuses to expand multisets larger than this.
 _EXPAND_LIMIT = 1_000_000
+
+# A symmetric power refuses to compute a rank (a binomial coefficient)
+# that may have more bits than this.
+_SYM_RANK_BITS = 100_000
 
 
 class AmbiguousExtensionError(ValueError):
@@ -150,8 +154,8 @@ class SplittingType:
             return self
         if len(self._pairs) == 1:
             d, r = self._pairs[0]
-            return SplittingType.from_pairs([(m * d, comb(r + m - 1, m))])
-        n_monomials = comb(self.rank + m - 1, m)
+            return SplittingType.from_pairs([(m * d, _sym_rank(r, m))])
+        n_monomials = _sym_rank(self.rank, m)
         if m * n_monomials > _SYM_ENUMERATION_LIMIT:
             raise ValueError(
                 f"symmetric power has {n_monomials} summands of {m} terms each; "
@@ -161,6 +165,22 @@ class SplittingType:
             sum(combo) for combo in combinations_with_replacement(self.degrees(), m)
         )
         return SplittingType.from_pairs(sums.items())
+
+
+def _sym_rank(r: int, m: int) -> int:
+    """comb(r + m - 1, m), the rank of S^m of a rank-r bundle (r, m >= 1).
+
+    With n = r + m - 1 and k = min(m, r - 1), comb(n, k) <= (e*n/k)^k bounds
+    its bit length by k*log2(e*n/k), and n >= 2k makes it at least 2^k.  A
+    rank past the budget is refused before it is computed.
+    """
+    n, k = r + m - 1, min(m, r - 1)
+    if k > _SYM_RANK_BITS or k * (log2(n) - log2(k or 1) + log2(e)) > _SYM_RANK_BITS:
+        raise ValueError(
+            f"symmetric power may have more than 2^{_SYM_RANK_BITS} summands; "
+            "refusing to compute its rank"
+        )
+    return comb(n, m)
 
 
 def classify_extension(sub_deg: int, quot_deg: int, nonsplit: bool) -> SplittingType:
@@ -221,10 +241,6 @@ class DegreeForm:
 
     def __reduce__(self):
         return DegreeForm, (self.c0, self.cb, self.cl)
-
-    @classmethod
-    def constant(cls, c: int) -> "DegreeForm":
-        return cls(c, 0, 0)
 
     def __call__(self, beta: int, ell: int = 0) -> int:
         return self.c0 + self.cb * beta + self.cl * ell

@@ -29,7 +29,7 @@ fixed claim order, so concurrent evaluation would be deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Callable, Union
 
@@ -96,17 +96,11 @@ class Sym:
 
 @dataclass(frozen=True)
 class Twist:
-    """Tensor by O(a*C + b*F); both coefficients may be parametric."""
+    """Tensor by O(a*C + b*F); both coefficients are degree forms."""
 
     inner: "BundleExpr"
-    a: Union[int, DegreeForm] = 0
-    b: Union[int, DegreeForm] = 0
-
-    def __post_init__(self) -> None:
-        if isinstance(self.a, int):
-            object.__setattr__(self, "a", DegreeForm.constant(self.a))
-        if isinstance(self.b, int):
-            object.__setattr__(self, "b", DegreeForm.constant(self.b))
+    a: DegreeForm = DegreeForm()
+    b: DegreeForm = DegreeForm()
 
 
 @dataclass(frozen=True)
@@ -120,14 +114,6 @@ class Frob:
 BundleExpr = Union[ExtensionDatum, Sym, Twist, Frob]
 
 
-@dataclass(frozen=True)
-class BalancedRestriction:
-    """Symbolic restriction: every summand shares ``degree``; rank as text."""
-
-    degree: DegreeForm
-    rank: Union[int, str]
-
-
 def restricted_twist_degree(
     ctx: SurfaceContext, a_form: DegreeForm, b_form: DegreeForm
 ) -> DegreeForm:
@@ -135,15 +121,14 @@ def restricted_twist_degree(
     return a_form.scale(-ctx.e) + b_form
 
 
-def _leaf_restriction(ctx: SurfaceContext, datum: ExtensionDatum, curve: str) -> SplittingType:
+def _leaf_restriction(
+    ctx: SurfaceContext, datum: ExtensionDatum, curve: DivisorClass
+) -> SplittingType:
     # The nonsplit flag transfers to the restriction to C on the strength
     # of the restriction certificate (injectivity of extension classes);
-    # on a fiber the extension group vanishes and classify forces a split.
-    if curve not in ("C", "fiber"):
-        raise ValueError(f"unknown curve {curve!r}; expected 'C' or 'fiber'")
-    cl = C if curve == "C" else F
+    # on a fiber F the extension group vanishes and classify forces a split.
     return classify_extension(
-        ctx.intersect(datum.sub, cl), ctx.intersect(datum.quot, cl), datum.nonsplit
+        ctx.intersect(datum.sub, curve), ctx.intersect(datum.quot, curve), datum.nonsplit
     )
 
 
@@ -158,7 +143,7 @@ def _restrict_numeric(
     exponent depends on l has no such form and is refused.
     """
     if isinstance(expr, ExtensionDatum):
-        return _leaf_restriction(ctx, expr, "C"), 0
+        return _leaf_restriction(ctx, expr, C), 0
     if isinstance(expr, Sym):
         m = expr.power
         if isinstance(m, DegreeForm):
@@ -177,38 +162,39 @@ def _restrict_numeric(
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
-def _restrict_symbolic(ctx: SurfaceContext, expr: BundleExpr) -> BalancedRestriction:
-    """expr|_C as one degree form over the whole region, when it is balanced."""
+def _restrict_symbolic(
+    ctx: SurfaceContext, expr: BundleExpr
+) -> tuple[DegreeForm, Union[int, str]]:
+    """expr|_C as one degree form over the whole region, when it is balanced.
+
+    Returns the form every summand shares and the rank, which is text when
+    it depends on b.
+    """
     if isinstance(expr, ExtensionDatum):
-        st = _leaf_restriction(ctx, expr, "C")
+        st = _leaf_restriction(ctx, expr, C)
         if st.is_zero() or not st.is_balanced():
             raise SymbolicUnsupported(
                 f"restriction {format_splitting(st)} is not balanced; "
                 "symbolic mode unsupported; use a numeric sweep"
             )
         deg, rank = st.pairs[0]
-        return BalancedRestriction(DegreeForm.constant(deg), rank)
-    if isinstance(expr, Sym):
-        inner = _restrict_symbolic(ctx, expr.inner)
-        if not isinstance(inner.rank, int):
-            raise SymbolicUnsupported("symmetric power of a bundle of parametric rank")
-        if isinstance(expr.power, int):
-            degree = inner.degree.scale(expr.power)
-            return BalancedRestriction(degree, comb(inner.rank + expr.power - 1, expr.power))
-        try:
-            degree = inner.degree.times(expr.power)
-        except ValueError as exc:
-            raise SymbolicUnsupported(str(exc)) from None
-        r = inner.rank - 1
-        return BalancedRestriction(degree, f"C({expr.power.compact()} + {r}, {r})")
+        return DegreeForm(deg), rank
+    if not isinstance(expr, (Sym, Twist, Frob)):
+        raise TypeError(f"not a bundle expression: {expr!r}")
+    degree, rank = _restrict_symbolic(ctx, expr.inner)
     if isinstance(expr, Twist):
-        inner = _restrict_symbolic(ctx, expr.inner)
-        shift = restricted_twist_degree(ctx, expr.a, expr.b)
-        return BalancedRestriction(inner.degree + shift, inner.rank)
+        return degree + restricted_twist_degree(ctx, expr.a, expr.b), rank
     if isinstance(expr, Frob):
-        inner = _restrict_symbolic(ctx, expr.inner)
-        return BalancedRestriction(inner.degree.scale(expr.q), inner.rank)
-    raise TypeError(f"not a bundle expression: {expr!r}")
+        return degree.scale(expr.q), rank
+    if not isinstance(rank, int):
+        raise SymbolicUnsupported("symmetric power of a bundle of parametric rank")
+    if isinstance(expr.power, int):
+        return degree.scale(expr.power), comb(rank + expr.power - 1, expr.power)
+    try:
+        degree = degree.times(expr.power)
+    except ValueError as exc:
+        raise SymbolicUnsupported(str(exc)) from None
+    return degree, f"C({expr.power.compact()} + {rank - 1}, {rank - 1})"
 
 
 # --------------------------------------------------------------------------
@@ -265,6 +251,8 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError(f"mode must be 'symbolic' or 'sweep', got {mode!r}")
     if mode == "sweep" and (beta_max is None or beta_max < 1):
         raise ValueError("sweep mode needs beta_max >= 1")
+    if mode == "symbolic" and beta_max is not None:
+        raise ValueError("beta_max is only meaningful in sweep mode")
 
 
 # --------------------------------------------------------------------------
@@ -297,29 +285,25 @@ def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
 
 def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
     """The extension setup record, and the datum when one exists."""
-    title = "nonsplit extension of O by O(C)"
     try:
         datum = build_extension(ctx)
     except ValueError as exc:
-        return None, ClaimRecord(
-            "extension", title, "exact", str(exc), witness={"error": str(exc)}
-        )
-    return datum, ClaimRecord(
-        claim_id="extension",
-        title=title,
-        mode="exact",
-        headline=(
+        datum, headline, details, witness = None, str(exc), {}, {"error": str(exc)}
+    else:
+        headline = (
             f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {datum.ext_dim}; "
             f"nonsplit class chosen"
-        ),
-        details={
+        )
+        details = {
             "sub": format_class(datum.sub),
             "quot": format_class(datum.quot),
             "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
             "ext_dim": datum.ext_dim,
             "nonsplit": datum.nonsplit,
-        },
-    )
+        }
+        witness = None
+    title = "nonsplit extension of O by O(C)"
+    return datum, ClaimRecord("extension", title, "exact", headline, None, details, witness)
 
 
 def nonsplit_restriction_certificate(
@@ -343,35 +327,23 @@ def nonsplit_restriction_certificate(
         "h1_O_C_of_C": target_h1,
     }
     try:
-        res_c = _leaf_restriction(ctx, datum, "C")
-        res_f = _leaf_restriction(ctx, datum, "fiber")
+        res_c = _leaf_restriction(ctx, datum, C)
+        res_f = _leaf_restriction(ctx, datum, F)
     except AmbiguousExtensionError as exc:
-        return ClaimRecord(
-            claim_id="restriction",
-            title="restriction of the extension to C and to a fiber",
-            mode="exact",
-            headline=f"restriction type undetermined: {exc}",
-            details=details,
-            witness={"error": str(exc)},
-        )
-    details["E_restricted_to_C"] = format_splitting(res_c)
-    details["E_restricted_to_fiber"] = format_splitting(res_f)
-    ok = h1_structure == 0 and (not datum.nonsplit or target_h1 >= 1)
-    kind = "nonsplit" if datum.nonsplit else "split (control)"
-    return ClaimRecord(
-        claim_id="restriction",
-        title="restriction of the extension to C and to a fiber",
-        mode="exact",
-        headline=(
+        headline, witness = f"restriction type undetermined: {exc}", {"error": str(exc)}
+    else:
+        details["E_restricted_to_C"] = format_splitting(res_c)
+        details["E_restricted_to_fiber"] = format_splitting(res_f)
+        kind = "nonsplit" if datum.nonsplit else "split (control)"
+        headline = (
             f"E|_C = {format_splitting(res_c)} ({kind}), "
             f"E|_fiber = {format_splitting(res_f)} (splits); "
             f"premises h^1(O_X) = {h1_structure}, h^1(O_C(C)) = {target_h1}"
-        ),
-        details=details,
-        witness=None
-        if ok
-        else {"h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1},
-    )
+        )
+        ok = h1_structure == 0 and (not datum.nonsplit or target_h1 >= 1)
+        witness = None if ok else {"h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1}
+    title = "restriction of the extension to C and to a fiber"
+    return ClaimRecord("restriction", title, "exact", headline, None, details, witness)
 
 
 # --------------------------------------------------------------------------
@@ -442,9 +414,8 @@ def _certify(
             return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
     form: DegreeForm | None = None
     try:
-        balanced = _restrict_symbolic(ctx, spec.expr)
-        form = balanced.degree
-        details["rank"] = str(balanced.rank)
+        form, rank = _restrict_symbolic(ctx, spec.expr)
+        details["rank"] = str(rank)
     except SymbolicUnsupported:
         if mode == "symbolic":
             raise
@@ -583,7 +554,7 @@ def base_row_certificate(
     spec = VanishingSpec(
         "claim4",
         "zero map on global sections into the base-pulled-back twist",
-        Twist(_char0_tower(datum), a=0, b=BETA.scale(m)),
+        Twist(_char0_tower(datum), b=BETA.scale(m)),
         details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C", "base_row": row_info},
         premises=(_premise("base-row identity", row_ok),),
         conclusion=(
@@ -618,46 +589,38 @@ def quotient_zero_conclusion(
         "gate": {"claim3": peeling.status, "claim4": base_row.status},
         "surjection": "S^{4b}(S^4 E)(5bH) ->> O(5bH), induced by E ->> O",
     }
-    if not gate:
-        return ClaimRecord(
-            claim_id="sigma",
-            title="zero map on global sections of the quotient surjection",
-            mode=mode,
-            headline="no conclusion emitted: a premise certificate failed",
-            details=details,
-            witness={"gate": details["gate"]},
+    if gate:
+        quantifier = (
+            "all b >= 1"
+            if mode == "symbolic"
+            else f"1 <= b <= {beta_max} (finite evidence)"
         )
-    quantifier = (
-        "all b >= 1"
-        if mode == "symbolic"
-        else f"1 <= b <= {beta_max} (finite evidence)"
-    )
-    details["quantifier"] = quantifier
-    details["ggg_argument"] = (
-        "if all global maps to the quotient line bundle vanish, "
-        "the evaluation map cannot be generically surjective"
-    )
-    details["alpha_quantifier"] = (
-        "pseudo-effectivity requires, for every alpha, some b with "
-        "S^{alpha b}(.)(bH) generically globally generated; alpha = 4 fails "
-        "for every b, which refutes it"
-    )
-    details["bridge"] = (
-        "not verified here: S^4 of the headline ample-by-big extension bundle "
-        "is the pullback of S^4(E)(H) along a finite cover that trivializes "
-        "the polarization twist; pseudo-effectivity would descend along that "
-        "cover, so this certificate refutes it upstream too"
-    )
-    return ClaimRecord(
-        claim_id="sigma",
-        title="zero map on global sections of the quotient surjection",
-        mode=mode,
-        headline=(
+        details["quantifier"] = quantifier
+        details["ggg_argument"] = (
+            "if all global maps to the quotient line bundle vanish, "
+            "the evaluation map cannot be generically surjective"
+        )
+        details["alpha_quantifier"] = (
+            "pseudo-effectivity requires, for every alpha, some b with "
+            "S^{alpha b}(.)(bH) generically globally generated; alpha = 4 fails "
+            "for every b, which refutes it"
+        )
+        details["bridge"] = (
+            "not verified here: S^4 of the headline ample-by-big extension bundle "
+            "is the pullback of S^4(E)(H) along a finite cover that trivializes "
+            "the polarization twist; pseudo-effectivity would descend along that "
+            "cover, so this certificate refutes it upstream too"
+        )
+        headline = (
             f"H^0(S^{{4b}}(S^4 E)(5bH) ->> O(5bH)) = 0 for {quantifier}; "
             "S^4(E)(H) is not pseudo-effective"
-        ),
-        details=details,
-    )
+        )
+        witness = None
+    else:
+        headline = "no conclusion emitted: a premise certificate failed"
+        witness = {"gate": details["gate"]}
+    title = "zero map on global sections of the quotient surjection"
+    return ClaimRecord("sigma", title, mode, headline, None, details, witness)
 
 
 def frobenius_certificate(
@@ -774,39 +737,27 @@ def almost_nef_evidence(
     if datum is None:
         datum = build_extension(ctx)
     try:
-        fiber_type = _leaf_restriction(ctx, datum, "fiber")
-        c_type = _leaf_restriction(ctx, datum, "C")
+        fiber_type = _leaf_restriction(ctx, datum, F)
+        c_type = _leaf_restriction(ctx, datum, C)
     except AmbiguousExtensionError as exc:
-        return ClaimRecord(
-            claim_id="almost_nef",
-            title="nefness evidence by restriction",
-            mode="exact",
-            headline=f"restriction type undetermined: {exc}",
-            witness={"error": str(exc)},
-        )
-    split_on_c = classify_extension(
-        ctx.intersect(datum.sub, C), ctx.intersect(datum.quot, C), False
-    )
-    rows = [
-        {"curve": "fiber", "type": format_splitting(fiber_type), "nef": fiber_type.is_nef()},
-        {"curve": "C", "type": format_splitting(c_type), "nef": c_type.is_nef()},
-        {
-            "curve": "C (split control)",
-            "type": format_splitting(split_on_c),
-            "nef": split_on_c.is_nef(),
-        },
-    ]
-    ok = fiber_type.is_nef() and not c_type.is_nef()
-    return ClaimRecord(
-        claim_id="almost_nef",
-        title="nefness evidence by restriction",
-        mode="exact",
-        headline=(
+        headline, details = f"restriction type undetermined: {exc}", {}
+        witness = {"error": str(exc)}
+    else:
+        split_on_c = _leaf_restriction(ctx, replace(datum, nonsplit=False), C)
+        rows = [
+            {"curve": curve, "type": format_splitting(st), "nef": st.is_nef()}
+            for curve, st in (
+                ("fiber", fiber_type),
+                ("C", c_type),
+                ("C (split control)", split_on_c),
+            )
+        ]
+        headline = (
             f"E|_fiber = {format_splitting(fiber_type)} nef, "
             f"E|_C = {format_splitting(c_type)} not nef; C is the exceptional "
             "curve (evidence, not proof)"
-        ),
-        details={
+        )
+        details = {
             "restrictions": rows,
             "label": "evidence, not proof",
             "exceptional_locus": "C",
@@ -815,9 +766,11 @@ def almost_nef_evidence(
                 "of subvarieties; only fibers and C are checked here, and "
                 "stability of almost nefness under extension is not reproved"
             ),
-        },
-        witness=None if ok else {"restrictions": rows},
-    )
+        }
+        ok = fiber_type.is_nef() and not c_type.is_nef()
+        witness = None if ok else {"restrictions": rows}
+    title = "nefness evidence by restriction"
+    return ClaimRecord("almost_nef", title, "exact", headline, None, details, witness)
 
 
 # --------------------------------------------------------------------------

@@ -226,6 +226,23 @@ def test_split_ambiguous_extension_surfaces_error(capsys):
     assert "ambiguous splitting type" in err
 
 
+def test_split_balanced_sym_past_rank_budget_exits_2():
+    # comb(2*10^6, 10^6) alone takes half a minute; the rank is refused first
+    code, out, err = run_capped("split", "[0,0]", "sym:1000000", "sym:1000000")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: symmetric power may have more than 2^100000 summands")
+
+
+def test_split_prints_nothing_when_the_result_cannot_be_formatted():
+    # the echo line alone is 4419 bytes; the twisted degree has 4401 digits
+    twist, frob = "twist:1" + "0" * 4200, "frob:1" + "0" * 200
+    code, out, err = run_capped("split", "[1]", twist, frob)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "integer string conversion" in line
+
+
 def test_split_bad_op(capsys):
     code, _, err = run(capsys, "split", "[0]", "cube:3")
     assert code == 2

@@ -84,6 +84,18 @@ def test_sym_power_enumeration_refusal():
         SplittingType((0, 1)).sym_power(3_000_000)
 
 
+def test_sym_power_rank_budget():
+    # the rank comb(r + m - 1, m) is refused before it is computed when its
+    # bit-length bound passes 10^5, balanced or not
+    with pytest.raises(ValueError, match="more than 2\\^100000 summands"):
+        SplittingType.from_pairs([(0, 1_000_001)]).sym_power(1_000_000)
+    with pytest.raises(ValueError, match="more than 2\\^100000 summands"):
+        SplittingType(range(30_000)).sym_power(10**100)
+    for r, m in [(5, 10**7), (2, 10**4000), (5001, 10**6)]:
+        st = SplittingType.from_pairs([(-1, r)]).sym_power(m)
+        assert st.pairs == ((-m, comb(r + m - 1, m)),)
+
+
 def test_frobenius_pullback():
     assert SplittingType((-1, -1)).frobenius_pullback(4) == SplittingType((-4, -4))
     assert SplittingType((0,)).frobenius_pullback(7) == SplittingType((0,))
@@ -199,7 +211,7 @@ def test_degree_form_arithmetic():
     f = DegreeForm(0, -16, 0) + DegreeForm(0, 15, -2)
     assert f == DegreeForm(0, -1, -2)
     assert f.scale(3) == DegreeForm(0, -3, -6)
-    assert DegreeForm(0, 4, 0).times(DegreeForm.constant(-4)) == DegreeForm(0, -16, 0)
+    assert DegreeForm(0, 4, 0).times(DegreeForm(-4)) == DegreeForm(0, -16, 0)
     with pytest.raises(ValueError):
         DegreeForm(0, 4, 0).times(DegreeForm(0, -1, 0))
 

@@ -75,3 +75,17 @@ def test_traced_cli_smoke(argv, replays):
     spans = json.loads(snap)["spans"]
     assert spans["cli.main"][0] == 1
     assert spans.get("verifier.run_full_replay", (0,))[0] == replays
+
+
+def test_perfbench_selftest():
+    """Corrupted outputs fail their checks, seeds reproduce, metric names match."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.endswith("-> ok") for line in lines), proc.stdout

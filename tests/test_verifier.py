@@ -124,7 +124,7 @@ _TOWERS = {
 def test_restrict_numeric_matches_degree_form(name):
     certificate, args, kwargs, rank = _TOWERS[name]
     expr = _spec(certificate, *args, **kwargs).expr
-    form = v._restrict_symbolic(CTX2, expr).degree
+    form, _ = v._restrict_symbolic(CTX2, expr)
     for beta in range(1, 7):
         st, slope = v._restrict_numeric(CTX2, expr, beta)
         for ell in range(5 * beta + 1):
@@ -162,7 +162,7 @@ def test_restrict_numeric_split_control_brute_force():
 def _at_point(expr, beta, ell):
     """Per-point reference: expr|_C with (beta, ell) substituted at every node."""
     if isinstance(expr, v.ExtensionDatum):
-        return v._leaf_restriction(CTX2, expr, "C")
+        return v._leaf_restriction(CTX2, expr, C)
     inner = _at_point(expr.inner, beta, ell)
     if isinstance(expr, Sym):
         return inner.sym_power(expr.power if isinstance(expr.power, int) else expr.power(beta))
@@ -177,7 +177,11 @@ def test_restrict_numeric_slope_through_sym_and_frob():
     datum = build_extension(CTX2)
     split = split_control_datum(CTX2)
     exprs = [
-        Twist(Frob(Sym(Twist(datum, a=ELL, b=1), BETA.scale(2)), 3), a=ELL.scale(2), b=BETA),
+        Twist(
+            Frob(Sym(Twist(datum, a=ELL, b=DegreeForm(1)), BETA.scale(2)), 3),
+            a=ELL.scale(2),
+            b=BETA,
+        ),
         Frob(Sym(Twist(split, a=ELL), 3), 2),
         Sym(Twist(Sym(split, BETA), b=ELL.scale(-1)), 2),
     ]
@@ -217,18 +221,19 @@ def test_sweep_builds_each_tower_once_per_beta(name, monkeypatch):
 
 def test_restrict_fiber():
     datum = build_extension(CTX2)
-    assert v._leaf_restriction(CTX2, datum, "fiber") == SplittingType((0, 1))
+    assert v._leaf_restriction(CTX2, datum, F) == SplittingType((0, 1))
 
 
 def test_restrict_symbolic_forms():
     datum = build_extension(CTX2)
-    res = v._restrict_symbolic(CTX2, _claim3_expr(datum))
-    assert res.degree == DegreeForm(0, -1, -2)
-    assert res.rank == "C(4b + 4, 4)"
+    assert v._restrict_symbolic(CTX2, _claim3_expr(datum)) == (
+        DegreeForm(0, -1, -2),
+        "C(4b + 4, 4)",
+    )
     charp = Twist(Sym(Frob(datum, 9), BETA.scale(4)), a=ELL, b=BETA.scale(15))
-    assert v._restrict_symbolic(CTX2, charp).degree == DegreeForm(0, 15 - 36, -2)
-    base = Twist(Sym(Sym(datum, 4), BETA.scale(4)), a=0, b=BETA.scale(15))
-    assert v._restrict_symbolic(CTX2, base).degree == DegreeForm(0, -1, 0)
+    assert v._restrict_symbolic(CTX2, charp) == (DegreeForm(0, 15 - 36, -2), "C(4b + 1, 1)")
+    base = Twist(Sym(Sym(datum, 4), BETA.scale(4)), b=BETA.scale(15))
+    assert v._restrict_symbolic(CTX2, base)[0] == DegreeForm(0, -1, 0)
 
 
 def test_restrict_symbolic_refuses_unbalanced():
@@ -241,12 +246,6 @@ def test_restrict_symbolic_refuses_unbalanced():
         v._restrict_symbolic(CTX2, Sym(Sym(datum, BETA), 2))
 
 
-def test_restrict_rejects_unknown_curve():
-    datum = build_extension(CTX2)
-    with pytest.raises(ValueError, match="unknown curve"):
-        v._leaf_restriction(CTX2, datum, "D")
-
-
 def test_restricted_twist_degree_matches_intersection():
     rng = random.Random(8642)
     for _ in range(200):
@@ -254,7 +253,7 @@ def test_restricted_twist_degree_matches_intersection():
         d = DivisorClass(a, b)
         for e in range(4):
             ctx = SurfaceContext(e)
-            got = v.restricted_twist_degree(ctx, DegreeForm.constant(a), DegreeForm.constant(b))
+            got = v.restricted_twist_degree(ctx, DegreeForm(a), DegreeForm(b))
             assert got(1, 0) == ctx.intersect(d, C) == -e * a + b
 
 
@@ -585,6 +584,8 @@ def test_replay_argument_validation():
         run_full_replay(CTX2, 0, "sweep")
     with pytest.raises(ValueError, match="mode"):
         run_full_replay(CTX2, 0, "fast")
+    with pytest.raises(ValueError, match="beta_max is only meaningful in sweep mode"):
+        run_full_replay(CTX2, 0, "symbolic", 3)
 
 
 def test_report_json_shape():
