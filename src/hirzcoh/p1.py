@@ -251,19 +251,6 @@ class DegreeForm:
     def scale(self, n: int) -> "DegreeForm":
         return DegreeForm(n * self.c0, n * self.cb, n * self.cl)
 
-    def is_constant(self) -> bool:
-        return self.cb == 0 and self.cl == 0
-
-    def times(self, other: "DegreeForm") -> "DegreeForm":
-        """Product of two forms, defined only when it stays affine."""
-        if other.is_constant():
-            return self.scale(other.c0)
-        if self.is_constant():
-            return other.scale(self.c0)
-        raise ValueError(
-            "product of two non-constant degree forms is not affine in (b, l)"
-        )
-
     def is_negative_on_region(self) -> bool:
         """True iff the form is < 0 for every integer b >= 1, l >= 0.
 

@@ -13,15 +13,16 @@ the bundle is nef along the ruling and fails nefness exactly on C.
 
 The certificates below reduce "E is not pseudo-effective" (and the same
 for its Frobenius/symmetric-power twists) to exact integer checks.  Each
-one restricts a symmetric-power twist of E to C, where all summands share
-one degree that is an affine form in the parameters (b, l); negativity of
-that form on the whole region b >= 1, l >= 0 certifies h^0 = 0 for every
-parameter value at once.  Sweep mode replays the same h^0 computations
-numerically on a finite grid: it builds each tower once per b as a
-splitting type, and since l enters only as a shift of every degree, it
-reads h^0 at each l off the shifted pairs.  Deliberately corrupted inputs
-(the split direct sum, an inflated twist) must make the affected
-certificate FAIL; the test suite checks that they do.
+one restricts to C a tower of one shape, S^{4b}(X)(aC + bF) with X one
+of E, S^4 E or a Frobenius pullback of E (``Tower``).  On C all summands
+share one degree that is an affine form in the parameters (b, l);
+negativity of that form on the whole region b >= 1, l >= 0 certifies
+h^0 = 0 for every parameter value at once.  Sweep mode replays the same
+h^0 computations numerically on a finite grid: it builds each tower once
+per b as a splitting type, and since l enters only through the twist on
+top, it reads h^0 at each l off the shifted pairs.  Deliberately
+corrupted inputs (the split direct sum, an inflated twist) must make the
+affected certificate FAIL; the test suite checks that they do.
 
 Every record is a pure computation; the orchestrator merges them in a
 fixed claim order, so concurrent evaluation would be deterministic.
@@ -30,8 +31,7 @@ fixed claim order, so concurrent evaluation would be deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb
-from typing import Callable, Union
+from typing import Callable
 
 from . import cohomology
 from .hirzebruch import C, F, ZERO, DivisorClass, SurfaceContext, format_class
@@ -39,6 +39,7 @@ from .p1 import (
     AmbiguousExtensionError,
     DegreeForm,
     SplittingType,
+    _sym_rank,
     classify_extension,
     format_splitting,
 )
@@ -50,9 +51,18 @@ FAIL = "FAIL"
 #: The ample polarization used throughout the replay.
 H = DivisorClass(1, 3)
 
+#: The exponent the paper refutes pseudo-effectivity at: every tower's
+#: outer symmetric power is S^{ALPHA*b}.
+ALPHA = 4
+
 #: The two region parameters as degree forms.
 BETA = DegreeForm(cb=1)
 ELL = DegreeForm(cl=1)
+
+#: Largest sweep grid bound.  A sweep's cost grows about quadratically in
+#: its bound, so a bound far past this one would run for hours; it is
+#: refused instead.
+BETA_MAX_LIMIT = 1000
 
 #: Records that set the replay up; every other record is a claim.
 _SETUP_IDS = ("extension", "restriction")
@@ -63,7 +73,7 @@ class SymbolicUnsupported(ValueError):
 
 
 # --------------------------------------------------------------------------
-# extension datum and bundle expressions
+# extension datum and the tower over it
 # --------------------------------------------------------------------------
 
 
@@ -71,9 +81,9 @@ class SymbolicUnsupported(ValueError):
 class ExtensionDatum:
     """A rank-2 extension of O(quot) by O(sub), plus its Ext-group size.
 
-    As a bundle expression it is the leaf: the extension bundle itself.
-    ``ext_dim`` is dim Ext^1(O(quot), O(sub)) = h^1(O(sub - quot)) on the
-    surface; ``nonsplit`` records whether a nonzero class was taken.
+    It is the bundle E at the bottom of every ``Tower``.  ``ext_dim`` is
+    dim Ext^1(O(quot), O(sub)) = h^1(O(sub - quot)) on the surface;
+    ``nonsplit`` records whether a nonzero class was taken.
     """
 
     sub: DivisorClass
@@ -87,31 +97,19 @@ class ExtensionDatum:
 
 
 @dataclass(frozen=True)
-class Sym:
-    """Symmetric power; the exponent may be parametric in b."""
+class Tower:
+    """S^{ALPHA*b}(S^sym(F^{frob*} E))(a*C + b*F), E the extension bundle.
 
-    inner: "BundleExpr"
-    power: Union[int, DegreeForm]
+    Every certificate restricts a tower of this shape to C.  ``frob`` is 1
+    for no pullback, else the Frobenius power q >= 2; both twist
+    coefficients are degree forms in (b, l).
+    """
 
-
-@dataclass(frozen=True)
-class Twist:
-    """Tensor by O(a*C + b*F); both coefficients are degree forms."""
-
-    inner: "BundleExpr"
+    datum: ExtensionDatum
+    sym: int = 1
+    frob: int = 1
     a: DegreeForm = DegreeForm()
     b: DegreeForm = DegreeForm()
-
-
-@dataclass(frozen=True)
-class Frob:
-    """Pullback by the q-power Frobenius (q a prime power >= 2)."""
-
-    inner: "BundleExpr"
-    q: int
-
-
-BundleExpr = Union[ExtensionDatum, Sym, Twist, Frob]
 
 
 def restricted_twist_degree(
@@ -133,68 +131,38 @@ def _leaf_restriction(
 
 
 def _restrict_numeric(
-    ctx: SurfaceContext, expr: BundleExpr, beta: int
+    ctx: SurfaceContext, tower: Tower, beta: int
 ) -> tuple[SplittingType, int]:
-    """expr|_C at (beta, 0), and the slope one step of l adds to every degree.
+    """tower|_C at (beta, 0), and the slope one step of l adds to every degree.
 
-    The restriction at (beta, ell) is the returned type twisted by
-    ``slope * ell``: l enters only through twists, S^m(V(n)) = S^m(V)(mn)
-    scales the slope by m, and Frobenius by q.  A symmetric power whose
-    exponent depends on l has no such form and is refused.
+    l enters only through the twist on top, so the restriction at
+    (beta, ell) is the returned type twisted by ``slope * ell``.
     """
-    if isinstance(expr, ExtensionDatum):
-        return _leaf_restriction(ctx, expr, C), 0
-    if isinstance(expr, Sym):
-        m = expr.power
-        if isinstance(m, DegreeForm):
-            if m.cl:
-                raise ValueError(f"symmetric power exponent {m.compact()} depends on l")
-            m = m(beta)
-        st, slope = _restrict_numeric(ctx, expr.inner, beta)
-        return st.sym_power(m), m * slope
-    if isinstance(expr, Twist):
-        form = restricted_twist_degree(ctx, expr.a, expr.b)
-        st, slope = _restrict_numeric(ctx, expr.inner, beta)
-        return st.twist(form(beta)), slope + form.cl
-    if isinstance(expr, Frob):
-        st, slope = _restrict_numeric(ctx, expr.inner, beta)
-        return st.frobenius_pullback(expr.q), expr.q * slope
-    raise TypeError(f"not a bundle expression: {expr!r}")
+    st = _leaf_restriction(ctx, tower.datum, C)
+    if tower.frob > 1:
+        st = st.frobenius_pullback(tower.frob)
+    if tower.sym != 1:  # S^1 is the identity
+        st = st.sym_power(tower.sym)
+    twist = restricted_twist_degree(ctx, tower.a, tower.b)
+    return st.sym_power(ALPHA * beta).twist(twist(beta)), twist.cl
 
 
-def _restrict_symbolic(
-    ctx: SurfaceContext, expr: BundleExpr
-) -> tuple[DegreeForm, Union[int, str]]:
-    """expr|_C as one degree form over the whole region, when it is balanced.
+def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, str]:
+    """tower|_C as one degree form over the whole region, when it is balanced.
 
-    Returns the form every summand shares and the rank, which is text when
-    it depends on b.
+    Returns the form every summand shares and the rank as text in b.
     """
-    if isinstance(expr, ExtensionDatum):
-        st = _leaf_restriction(ctx, expr, C)
-        if st.is_zero() or not st.is_balanced():
-            raise SymbolicUnsupported(
-                f"restriction {format_splitting(st)} is not balanced; "
-                "symbolic mode unsupported; use a numeric sweep"
-            )
-        deg, rank = st.pairs[0]
-        return DegreeForm(deg), rank
-    if not isinstance(expr, (Sym, Twist, Frob)):
-        raise TypeError(f"not a bundle expression: {expr!r}")
-    degree, rank = _restrict_symbolic(ctx, expr.inner)
-    if isinstance(expr, Twist):
-        return degree + restricted_twist_degree(ctx, expr.a, expr.b), rank
-    if isinstance(expr, Frob):
-        return degree.scale(expr.q), rank
-    if not isinstance(rank, int):
-        raise SymbolicUnsupported("symmetric power of a bundle of parametric rank")
-    if isinstance(expr.power, int):
-        return degree.scale(expr.power), comb(rank + expr.power - 1, expr.power)
-    try:
-        degree = degree.times(expr.power)
-    except ValueError as exc:
-        raise SymbolicUnsupported(str(exc)) from None
-    return degree, f"C({expr.power.compact()} + {rank - 1}, {rank - 1})"
+    st = _leaf_restriction(ctx, tower.datum, C)
+    if st.is_zero() or not st.is_balanced():
+        raise SymbolicUnsupported(
+            f"restriction {format_splitting(st)} is not balanced; "
+            "symbolic mode unsupported; use a numeric sweep"
+        )
+    deg, rank = st.pairs[0]
+    # S^sym has rank k + 1, so S^{ALPHA*b} of it has rank C(ALPHA*b + k, k)
+    k = _sym_rank(rank, tower.sym) - 1
+    degree = DegreeForm(cb=ALPHA * tower.sym * tower.frob * deg)
+    return degree + restricted_twist_degree(ctx, tower.a, tower.b), f"C({ALPHA}b + {k}, {k})"
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +219,8 @@ def _check_mode(mode: str, beta_max: int | None) -> None:
         raise ValueError(f"mode must be 'symbolic' or 'sweep', got {mode!r}")
     if mode == "sweep" and (beta_max is None or beta_max < 1):
         raise ValueError("sweep mode needs beta_max >= 1")
+    if mode == "sweep" and beta_max > BETA_MAX_LIMIT:
+        raise ValueError(f"sweep mode allows beta_max <= {BETA_MAX_LIMIT}, got {beta_max}")
     if mode == "symbolic" and beta_max is not None:
         raise ValueError("beta_max is only meaningful in sweep mode")
 
@@ -361,7 +331,7 @@ def _premise(name: str, holds: bool, **facts) -> Premise:
 
 @dataclass
 class VanishingSpec:
-    """One h^0(C, expr|_C) = 0 certificate, as data for ``_certify``.
+    """One h^0(C, tower|_C) = 0 certificate, as data for ``_certify``.
 
     ``details`` is the record's details dict, which the evaluator extends.
     A PASS headline is "<evidence>; <conclusion>", where the evidence is the
@@ -371,7 +341,7 @@ class VanishingSpec:
 
     claim_id: str
     title: str
-    expr: BundleExpr
+    tower: Tower
     details: dict
     premises: tuple[Premise, ...]
     conclusion: str
@@ -379,7 +349,7 @@ class VanishingSpec:
 
 
 def _sweep_vanishing(
-    ctx: SurfaceContext, expr: BundleExpr, beta_max: int
+    ctx: SurfaceContext, tower: Tower, beta_max: int
 ) -> tuple[int, dict | None]:
     """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins.
 
@@ -389,7 +359,7 @@ def _sweep_vanishing(
     """
     evaluations = 0
     for beta in range(1, beta_max + 1):
-        st, slope = _restrict_numeric(ctx, expr, beta)
+        st, slope = _restrict_numeric(ctx, tower, beta)
         for ell in range(0, 5 * beta + 1):
             evaluations += 1
             value = st.h0(slope * ell)
@@ -414,7 +384,7 @@ def _certify(
             return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
     form: DegreeForm | None = None
     try:
-        form, rank = _restrict_symbolic(ctx, spec.expr)
+        form, rank = _restrict_symbolic(ctx, spec.tower)
         details["rank"] = str(rank)
     except SymbolicUnsupported:
         if mode == "symbolic":
@@ -426,7 +396,7 @@ def _certify(
         evidence = f"restricted degrees {form.compact()} < 0 on the region"
         if not form.is_negative_on_region():
             beta, ell = form.nonnegative_witness()
-            st, slope = _restrict_numeric(ctx, spec.expr, beta)
+            st, slope = _restrict_numeric(ctx, spec.tower, beta)
             value = st.h0(slope * ell)
             witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
             headline = (
@@ -434,7 +404,7 @@ def _certify(
                 f"value {form(beta, ell)} at (b, l) = ({beta}, {ell}), h^0 = {value}"
             )
     else:
-        evaluations, witness = _sweep_vanishing(ctx, spec.expr, beta_max)
+        evaluations, witness = _sweep_vanishing(ctx, spec.tower, beta_max)
         details.update(beta_max=beta_max, ell_range="0..5b", evaluations=evaluations)
         evidence = (
             f"h^0 = 0 at all {evaluations} grid points with 1 <= b <= {beta_max}, 0 <= l <= 5b"
@@ -489,11 +459,6 @@ def _base_row_identity(
 # --------------------------------------------------------------------------
 
 
-def _char0_tower(datum: ExtensionDatum) -> BundleExpr:
-    """S^{4b}(S^4 E): the characteristic-zero symmetric-power tower."""
-    return Sym(Sym(datum, 4), BETA.scale(4))
-
-
 def peeling_vanishing_certificate(
     ctx: SurfaceContext,
     datum: ExtensionDatum | None = None,
@@ -515,7 +480,7 @@ def peeling_vanishing_certificate(
     spec = VanishingSpec(
         "claim3",
         "vanishing on C of the peeled symmetric-power columns",
-        Twist(_char0_tower(datum), a=ELL, b=BETA.scale(15)),
+        Tower(datum, sym=4, a=ELL, b=BETA.scale(15)),
         details={
             "bundle": "S^{4b}(S^4 E)(lC + 15bF) restricted to C",
             "polarization_identity": "5H = 5C + 15F",
@@ -554,7 +519,7 @@ def base_row_certificate(
     spec = VanishingSpec(
         "claim4",
         "zero map on global sections into the base-pulled-back twist",
-        Twist(_char0_tower(datum), b=BETA.scale(m)),
+        Tower(datum, sym=4, b=BETA.scale(m)),
         details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C", "base_row": row_info},
         premises=(_premise("base-row identity", row_ok),),
         conclusion=(
@@ -653,7 +618,7 @@ def frobenius_certificate(
     spec = VanishingSpec(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
-        Twist(Sym(Frob(datum, q), BETA.scale(4)), a=ELL, b=BETA.scale(15)),
+        Tower(datum, frob=q, a=ELL, b=BETA.scale(15)),
         details={
             "p": p,
             "frobenius_exponent": k,
@@ -706,7 +671,7 @@ def direct_not_psef_certificate(
     spec = VanishingSpec(
         "remark_t",
         "E itself is not pseudo-effective",
-        Twist(Sym(datum, BETA.scale(4)), a=ELL, b=BETA.scale(3)),
+        Tower(datum, a=ELL, b=BETA.scale(3)),
         details={
             "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
             "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",

@@ -275,6 +275,13 @@ def test_verify_sweep(capsys):
     assert "finite evidence" in out
 
 
+def test_verify_sweep_past_beta_max_limit_exits_2():
+    # a sweep to 10^6 would run for hours; the bound is refused before any work
+    code, out, err = run_capped("verify", "--mode", "sweep", "--beta-max", "1000000")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep mode allows beta_max <= 1000, got 1000000\n"
+
+
 def test_verify_failure_exits_1(capsys):
     code, out, _ = run(capsys, "verify", "-e", "1", "--char", "0", "--mode", "symbolic")
     assert code == 1

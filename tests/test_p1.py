@@ -211,9 +211,6 @@ def test_degree_form_arithmetic():
     f = DegreeForm(0, -16, 0) + DegreeForm(0, 15, -2)
     assert f == DegreeForm(0, -1, -2)
     assert f.scale(3) == DegreeForm(0, -3, -6)
-    assert DegreeForm(0, 4, 0).times(DegreeForm(-4)) == DegreeForm(0, -16, 0)
-    with pytest.raises(ValueError):
-        DegreeForm(0, 4, 0).times(DegreeForm(0, -1, 0))
 
 
 def test_degree_form_text():

@@ -15,10 +15,8 @@ from hirzcoh.verifier import (
     BETA,
     ELL,
     H,
-    Frob,
-    Sym,
     SymbolicUnsupported,
-    Twist,
+    Tower,
     almost_nef_evidence,
     base_row_certificate,
     build_extension,
@@ -69,25 +67,25 @@ def test_restriction_certificate_ambiguous_for_steeper_twist():
     assert "ambiguous" in rec.witness["error"]
 
 
-# -- restriction of bundle expressions ---------------------------------------
+# -- restriction of towers ---------------------------------------------------
 
 
-def _claim3_expr(datum):
-    return Twist(Sym(Sym(datum, 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+def _claim3_tower(datum):
+    return Tower(datum, sym=4, a=ELL, b=BETA.scale(15))
 
 
 def test_restrict_numeric_claim3_degrees():
     datum = build_extension(CTX2)
     for beta, ell in [(1, 0), (1, 3), (2, 0), (3, 7)]:
-        st, slope = v._restrict_numeric(CTX2, _claim3_expr(datum), beta)
+        st, slope = v._restrict_numeric(CTX2, _claim3_tower(datum), beta)
         assert st.twist(slope * ell).pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
 
 
 def test_restrict_numeric_frobenius_degrees():
     datum = build_extension(CTX2)
-    expr = Twist(Sym(Frob(datum, 4), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+    tower = Tower(datum, frob=4, a=ELL, b=BETA.scale(15))
     for beta, ell in [(1, 0), (2, 5)]:
-        st, slope = v._restrict_numeric(CTX2, expr, beta)
+        st, slope = v._restrict_numeric(CTX2, tower, beta)
         assert st.twist(slope * ell).pairs == (((15 - 16) * beta - 2 * ell, comb(4 * beta + 1, 1)),)
 
 
@@ -120,13 +118,32 @@ _TOWERS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_TOWERS))
-def test_restrict_numeric_matches_degree_form(name):
+# towers no certificate builds, on the nonsplit datum: (Tower fields, rank at b)
+_UNBUILT_TOWERS = {
+    "sym2_frob3": ({"sym": 2, "frob": 3, "a": ELL, "b": BETA}, lambda b: comb(4 * b + 2, 2)),
+    "sym3_frob4": ({"sym": 3, "frob": 4, "b": BETA.scale(15)}, lambda b: comb(4 * b + 3, 3)),
+    "sym2": ({"sym": 2, "a": ELL, "b": BETA.scale(7)}, lambda b: comb(4 * b + 2, 2)),
+    "sym3": ({"sym": 3, "b": DegreeForm(5, -2, 1)}, lambda b: comb(4 * b + 3, 3)),
+    "a_minus_ell": ({"sym": 4, "a": ELL.scale(-1), "b": BETA}, lambda b: comb(4 * b + 4, 4)),
+    "b_minus_ell": ({"frob": 2, "b": DegreeForm(1, 3, -1)}, lambda b: 4 * b + 1),
+}
+
+
+def _tower(name):
+    """(tower, rank at b) of a ``_TOWERS`` certificate or an unbuilt tower."""
+    if name in _UNBUILT_TOWERS:
+        fields, rank = _UNBUILT_TOWERS[name]
+        return Tower(build_extension(CTX2), **fields), rank
     certificate, args, kwargs, rank = _TOWERS[name]
-    expr = _spec(certificate, *args, **kwargs).expr
-    form, _ = v._restrict_symbolic(CTX2, expr)
+    return _spec(certificate, *args, **kwargs).tower, rank
+
+
+@pytest.mark.parametrize("name", [*_TOWERS, *_UNBUILT_TOWERS])
+def test_restrict_numeric_matches_degree_form(name):
+    tower, rank = _tower(name)
+    form, _ = v._restrict_symbolic(CTX2, tower)
     for beta in range(1, 7):
-        st, slope = v._restrict_numeric(CTX2, expr, beta)
+        st, slope = v._restrict_numeric(CTX2, tower, beta)
         for ell in range(5 * beta + 1):
             expected = SplittingType.from_pairs([(form(beta, ell), rank(beta))])
             assert st.twist(slope * ell) == expected, (beta, ell)
@@ -151,52 +168,12 @@ def test_restrict_numeric_split_control_brute_force():
         "remark_t": _spec(direct_not_psef_certificate, split),
     }
     for name, spec in specs.items():
-        twist = spec.expr
+        tower = spec.tower
         for beta, ell in _grid(2):
-            st, slope = v._restrict_numeric(CTX2, twist, beta)
-            shift = CTX2.intersect(DivisorClass(twist.a(beta, ell), twist.b(beta, ell)), C)
+            st, slope = v._restrict_numeric(CTX2, tower, beta)
+            shift = CTX2.intersect(DivisorClass(tower.a(beta, ell), tower.b(beta, ell)), C)
             expected = SplittingType(d + shift for d in towers[name](beta))
             assert st.twist(slope * ell) == expected, (name, beta, ell)
-
-
-def _at_point(expr, beta, ell):
-    """Per-point reference: expr|_C with (beta, ell) substituted at every node."""
-    if isinstance(expr, v.ExtensionDatum):
-        return v._leaf_restriction(CTX2, expr, C)
-    inner = _at_point(expr.inner, beta, ell)
-    if isinstance(expr, Sym):
-        return inner.sym_power(expr.power if isinstance(expr.power, int) else expr.power(beta))
-    if isinstance(expr, Twist):
-        return inner.twist(CTX2.intersect(DivisorClass(expr.a(beta, ell), expr.b(beta, ell)), C))
-    return inner.frobenius_pullback(expr.q)
-
-
-def test_restrict_numeric_slope_through_sym_and_frob():
-    # the certificates twist by l only at the top; here the l-twist sits
-    # under Sym and Frob, so the slope must scale by m and by q
-    datum = build_extension(CTX2)
-    split = split_control_datum(CTX2)
-    exprs = [
-        Twist(
-            Frob(Sym(Twist(datum, a=ELL, b=DegreeForm(1)), BETA.scale(2)), 3),
-            a=ELL.scale(2),
-            b=BETA,
-        ),
-        Frob(Sym(Twist(split, a=ELL), 3), 2),
-        Sym(Twist(Sym(split, BETA), b=ELL.scale(-1)), 2),
-    ]
-    for expr in exprs:
-        for beta, ell in _grid(3):
-            st, slope = v._restrict_numeric(CTX2, expr, beta)
-            assert st.twist(slope * ell) == _at_point(expr, beta, ell), (expr, beta, ell)
-
-
-def test_restrict_numeric_refuses_ell_dependent_sym():
-    datum = build_extension(CTX2)
-    with pytest.raises(ValueError, match="depends on l"):
-        v._restrict_numeric(CTX2, Sym(datum, ELL), 1)
-    with pytest.raises(ValueError, match="depends on l"):
-        v._restrict_numeric(CTX2, Twist(Sym(datum, BETA + ELL), a=ELL), 2)
 
 
 @pytest.mark.parametrize("name", ["claim3", "claim4_m15", "charp_p3", "remark_t"])
@@ -207,10 +184,10 @@ def test_sweep_builds_each_tower_once_per_beta(name, monkeypatch):
     top_level = []
     real = v._restrict_numeric
 
-    def counting(ctx, expr, beta):
-        if expr == spec.expr:
-            top_level.append(beta)
-        return real(ctx, expr, beta)
+    def counting(ctx, tower, beta):
+        assert tower == spec.tower
+        top_level.append(beta)
+        return real(ctx, tower, beta)
 
     monkeypatch.setattr(v, "_restrict_numeric", counting)
     rec = certificate(CTX2, *args, mode="sweep", beta_max=beta_max, **kwargs)
@@ -226,24 +203,38 @@ def test_restrict_fiber():
 
 def test_restrict_symbolic_forms():
     datum = build_extension(CTX2)
-    assert v._restrict_symbolic(CTX2, _claim3_expr(datum)) == (
+    assert v._restrict_symbolic(CTX2, _claim3_tower(datum)) == (
         DegreeForm(0, -1, -2),
         "C(4b + 4, 4)",
     )
-    charp = Twist(Sym(Frob(datum, 9), BETA.scale(4)), a=ELL, b=BETA.scale(15))
+    charp = Tower(datum, frob=9, a=ELL, b=BETA.scale(15))
     assert v._restrict_symbolic(CTX2, charp) == (DegreeForm(0, 15 - 36, -2), "C(4b + 1, 1)")
-    base = Twist(Sym(Sym(datum, 4), BETA.scale(4)), b=BETA.scale(15))
+    base = Tower(datum, sym=4, b=BETA.scale(15))
     assert v._restrict_symbolic(CTX2, base)[0] == DegreeForm(0, -1, 0)
 
 
 def test_restrict_symbolic_refuses_unbalanced():
-    datum = build_extension(CTX2)
     with pytest.raises(SymbolicUnsupported, match="numeric sweep"):
-        v._restrict_symbolic(CTX2, split_control_datum(CTX2))
+        v._restrict_symbolic(CTX2, Tower(split_control_datum(CTX2)))
     with pytest.raises(SymbolicUnsupported):
-        v._restrict_symbolic(CTX2, _claim3_expr(split_control_datum(CTX2)))
-    with pytest.raises(SymbolicUnsupported, match="parametric rank"):
-        v._restrict_symbolic(CTX2, Sym(Sym(datum, BETA), 2))
+        v._restrict_symbolic(CTX2, _claim3_tower(split_control_datum(CTX2)))
+
+
+def test_restrict_symbolic_builds_no_splitting_type(monkeypatch):
+    # the symbolic route shares no formula with the sweep: with the numeric
+    # constructions broken it still gives the same answer for every tower
+    towers = {name: _tower(name)[0] for name in [*_TOWERS, *_UNBUILT_TOWERS]}
+    answers = {name: v._restrict_symbolic(CTX2, t) for name, t in towers.items()}
+
+    def broken(*args):
+        raise AssertionError("numeric construction called")
+
+    for name in ("sym_power", "frobenius_pullback", "twist"):
+        monkeypatch.setattr(SplittingType, name, broken)
+    with pytest.raises(AssertionError, match="numeric construction"):
+        v._restrict_numeric(CTX2, towers["claim3"], 1)
+    for name, tower in towers.items():
+        assert v._restrict_symbolic(CTX2, tower) == answers[name], name
 
 
 def test_restricted_twist_degree_matches_intersection():
@@ -586,6 +577,9 @@ def test_replay_argument_validation():
         run_full_replay(CTX2, 0, "fast")
     with pytest.raises(ValueError, match="beta_max is only meaningful in sweep mode"):
         run_full_replay(CTX2, 0, "symbolic", 3)
+    with pytest.raises(ValueError, match="beta_max <= 1000, got 1001"):
+        run_full_replay(CTX2, 0, "sweep", 1001)
+    v._check_mode("sweep", v.BETA_MAX_LIMIT)  # the limit itself is allowed
 
 
 def test_report_json_shape():
