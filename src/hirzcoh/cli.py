@@ -260,11 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         args = parser.parse_args(["verify"])
-    if args.run is _cmd_verify:
-        if args.mode == "sweep" and args.beta_max is None:
-            parser.error("--beta-max is required with --mode sweep")
-        if args.mode == "symbolic" and args.beta_max is not None:
-            parser.error("--beta-max is only meaningful with --mode sweep")
     try:
         return args.run(args)
     except ValueError as exc:  # the parse errors of every grammar subclass ValueError

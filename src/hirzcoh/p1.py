@@ -10,9 +10,10 @@ astronomically many summands (high symmetric powers of O(d)^r) stay
 constant-sized.  All arithmetic is unbounded-integer exact.
 
 ``DegreeForm`` is the symbolic companion: an affine integer form
-``c0 + cb*b + cl*l`` in two nonnegative parameters.  When every summand of
-a restricted bundle has the same parametric degree, one form certifies
-h^0 = 0 for the whole parameter region at once.
+``c0 + cb*b + cl*l`` in two nonnegative parameters.  A bundle on P^1 has
+no sections exactly when its largest degree is negative, so the form of a
+restricted bundle's top parametric degree certifies h^0 = 0 for the whole
+parameter region at once.
 """
 
 from __future__ import annotations
@@ -98,13 +99,6 @@ class SplittingType:
         if self.rank <= 16:
             return f"SplittingType({list(self.degrees())})"
         return f"SplittingType.from_pairs({list(self._pairs)})"
-
-    def is_zero(self) -> bool:
-        return not self._pairs
-
-    def is_balanced(self) -> bool:
-        """True when every summand has the same degree (or the bundle is zero)."""
-        return len(self._pairs) <= 1
 
     # -- cohomology and positivity -------------------------------------
 

@@ -14,10 +14,13 @@ the bundle is nef along the ruling and fails nefness exactly on C.
 The certificates below reduce "E is not pseudo-effective" (and the same
 for its Frobenius/symmetric-power twists) to exact integer checks.  Each
 one restricts to C a tower of one shape, S^{4b}(X)(aC + bF) with X one
-of E, S^4 E or a Frobenius pullback of E (``Tower``).  On C all summands
-share one degree that is an affine form in the parameters (b, l);
+of E, S^4 E or a Frobenius pullback of E (``Tower``).  On C the largest
+restricted degree is an affine form in the parameters (b, l), and it is
+every summand's degree when the restriction is balanced.  A bundle on P^1
+has no sections exactly when its largest degree is negative, so
 negativity of that form on the whole region b >= 1, l >= 0 certifies
-h^0 = 0 for every parameter value at once.  Sweep mode replays the same
+h^0 = 0 for every parameter value at once, and a point where it is not
+negative is a witness, balanced or not.  Sweep mode replays the same
 h^0 computations numerically on a finite grid: it builds each tower once
 per b as a splitting type, and since l enters only through the twist on
 top, it reads h^0 at each l off the shifted pairs.  Deliberately
@@ -66,10 +69,6 @@ BETA_MAX_LIMIT = 1000
 
 #: Records that set the replay up; every other record is a claim.
 _SETUP_IDS = ("extension", "restriction")
-
-
-class SymbolicUnsupported(ValueError):
-    """The restriction is not balanced, so one degree form cannot carry it."""
 
 
 # --------------------------------------------------------------------------
@@ -148,21 +147,18 @@ def _restrict_numeric(
 
 
 def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, str]:
-    """tower|_C as one degree form over the whole region, when it is balanced.
+    """tower|_C as the degree form of its top summand over the whole region.
 
-    Returns the form every summand shares and the rank as text in b.
+    Every stage of the tower preserves the order of degrees, so the largest
+    restricted degree comes from the leaf's largest degree; when the
+    restriction is balanced it is every summand's degree.  Returns that
+    form and the rank as text in b.
     """
-    st = _leaf_restriction(ctx, tower.datum, C)
-    if st.is_zero() or not st.is_balanced():
-        raise SymbolicUnsupported(
-            f"restriction {format_splitting(st)} is not balanced; "
-            "symbolic mode unsupported; use a numeric sweep"
-        )
-    deg, rank = st.pairs[0]
+    leaf = _leaf_restriction(ctx, tower.datum, C)
     # S^sym has rank k + 1, so S^{ALPHA*b} of it has rank C(ALPHA*b + k, k)
-    k = _sym_rank(rank, tower.sym) - 1
-    degree = DegreeForm(cb=ALPHA * tower.sym * tower.frob * deg)
-    return degree + restricted_twist_degree(ctx, tower.a, tower.b), f"C({ALPHA}b + {k}, {k})"
+    k = _sym_rank(leaf.rank, tower.sym) - 1
+    top = DegreeForm(cb=ALPHA * tower.sym * tower.frob * leaf.pairs[-1][0])
+    return top + restricted_twist_degree(ctx, tower.a, tower.b), f"C({ALPHA}b + {k}, {k})"
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +171,8 @@ class ClaimRecord:
     """One certified statement: what was checked, how, and the outcome.
 
     The status follows the witness: FAIL exactly when a witness is given.
+    ``degree_form`` is the top restricted degree of a vanishing claim's
+    tower, which is every summand's degree when the bundle is balanced.
     """
 
     claim_id: str
@@ -345,7 +343,7 @@ class VanishingSpec:
     details: dict
     premises: tuple[Premise, ...]
     conclusion: str
-    pass_evidence: Callable[[DegreeForm | None], str] | None = None
+    pass_evidence: Callable[[DegreeForm], str] | None = None
 
 
 def _sweep_vanishing(
@@ -374,22 +372,17 @@ def _certify(
     """Evaluate a vanishing certificate with one rule.
 
     The premises are checked first, in order; the first that fails is the
-    FAIL witness and no h^0 is computed.  Otherwise the degree form of the
-    restriction decides (symbolic mode) or the grid sweep does (sweep mode).
+    FAIL witness and no h^0 is computed.  Otherwise the top degree form of
+    the restriction decides (symbolic mode) or the grid sweep does (sweep
+    mode).
     """
     details = spec.details
     for name, holds, witness in spec.premises:
         if not holds:
             headline = f"premise failed: {name}; no h^0 computed"
             return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
-    form: DegreeForm | None = None
-    try:
-        form, rank = _restrict_symbolic(ctx, spec.tower)
-        details["rank"] = str(rank)
-    except SymbolicUnsupported:
-        if mode == "symbolic":
-            raise
-    details["region"] = "b >= 1, l >= 0"
+    form, rank = _restrict_symbolic(ctx, spec.tower)
+    details.update(rank=rank, region="b >= 1, l >= 0")
 
     if mode == "symbolic":
         witness = None
@@ -531,11 +524,7 @@ def base_row_certificate(
 
 
 def quotient_zero_conclusion(
-    ctx: SurfaceContext,
-    peeling: ClaimRecord,
-    base_row: ClaimRecord,
-    mode: str = "symbolic",
-    beta_max: int | None = None,
+    ctx: SurfaceContext, peeling: ClaimRecord, base_row: ClaimRecord
 ) -> ClaimRecord:
     """Claim id "sigma": the quotient surjection is zero on global sections.
 
@@ -547,19 +536,19 @@ def quotient_zero_conclusion(
     failure at the single exponent alpha = 4 (for every b) already refutes
     pseudo-effectivity of S^4(E)(H), which demands generic global
     generation for every alpha at some b.
+
+    The quantifier comes from the premises' evidence: "all b >= 1" when
+    both are symbolic, else the smallest grid bound a sweep premise reached.
     """
-    _check_mode(mode, beta_max)
+    bounds = [r.details.get("beta_max") for r in (peeling, base_row) if r.mode == "sweep"]
+    mode = "sweep" if bounds else "symbolic"
     gate = peeling.passed and base_row.passed
     details: dict = {
         "gate": {"claim3": peeling.status, "claim4": base_row.status},
         "surjection": "S^{4b}(S^4 E)(5bH) ->> O(5bH), induced by E ->> O",
     }
     if gate:
-        quantifier = (
-            "all b >= 1"
-            if mode == "symbolic"
-            else f"1 <= b <= {beta_max} (finite evidence)"
-        )
+        quantifier = f"1 <= b <= {min(bounds)} (finite evidence)" if bounds else "all b >= 1"
         details["quantifier"] = quantifier
         details["ggg_argument"] = (
             "if all global maps to the quotient line bundle vanish, "
@@ -825,7 +814,7 @@ def run_full_replay(
         if characteristic == 0:
             peeling = peeling_vanishing_certificate(ctx, datum, mode, beta_max)
             base_row = base_row_certificate(ctx, datum, mode, beta_max)
-            sigma = quotient_zero_conclusion(ctx, peeling, base_row, mode, beta_max)
+            sigma = quotient_zero_conclusion(ctx, peeling, base_row)
             records += [peeling, base_row, sigma]
         else:
             records.append(frobenius_certificate(ctx, characteristic, datum, mode, beta_max))

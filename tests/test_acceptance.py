@@ -192,13 +192,18 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_falsifiability_controls():
     split = peeling_vanishing_certificate(CTX, split_control_datum(CTX), "sweep", 10)
+    split_symbolic = peeling_vanishing_certificate(CTX, split_control_datum(CTX))
     inflated = base_row_certificate(CTX, fiber_multiple=16)
+    point = ("beta", "ell", "h0")
     split_ok = (
         not split.passed
         and split.witness is not None
         and split.witness["beta"] == 1
         and split.witness["ell"] == 0
         and split.witness["h0"] > 0
+        and not split_symbolic.passed
+        and split_symbolic.witness is not None
+        and [split_symbolic.witness[k] for k in point] == [split.witness[k] for k in point]
     )
     inflated_ok = (
         not inflated.passed
@@ -209,7 +214,8 @@ def test_criterion_8_falsifiability_controls():
     _verdict(
         8,
         split_ok and inflated_ok,
-        f"split control FAIL at (b,l)=(1,0) h0={split.witness['h0']}; "
+        f"split control FAIL at (b,l)=(1,0) h0={split.witness['h0']} "
+        "in sweep and symbolic mode; "
         f"inflated twist FAIL with h0={inflated.witness['h0']}",
     )
 

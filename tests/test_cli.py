@@ -290,12 +290,17 @@ def test_verify_failure_exits_1(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--mode", "sweep"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--mode", "symbolic", "--beta-max", "5"])
-    assert exc.value.code == 2
+    # the verifier's own mode check answers for the CLI: exit 2, no stdout
+    assert run(capsys, "verify", "--mode", "sweep") == (
+        2,
+        "",
+        "error: sweep mode needs beta_max >= 1\n",
+    )
+    assert run(capsys, "verify", "--mode", "symbolic", "--beta-max", "5") == (
+        2,
+        "",
+        "error: beta_max is only meaningful in sweep mode\n",
+    )
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--char", "4"])
     assert exc.value.code == 2

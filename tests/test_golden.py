@@ -35,8 +35,11 @@ VERIFY_CASES = [
 ]
 
 CONTROLS = (
+    "split_claim3_symbolic",
     "split_claim3_sweep10",
+    "split_remark_t_symbolic",
     "split_remark_t_sweep10",
+    "split_charp3_symbolic",
     "split_charp3_sweep3",
     "inflated_claim4_symbolic",
     "inflated_claim4_sweep10",
@@ -64,6 +67,12 @@ def verify_outputs(e, char, mode, json_path):
 def control_record(name):
     ctx = SurfaceContext(2)
     split = split_control_datum(ctx)
+    if name == "split_claim3_symbolic":
+        return peeling_vanishing_certificate(ctx, split)
+    if name == "split_remark_t_symbolic":
+        return direct_not_psef_certificate(ctx, split)
+    if name == "split_charp3_symbolic":
+        return frobenius_certificate(ctx, 3, split)
     if name == "split_claim3_sweep10":
         return peeling_vanishing_certificate(ctx, split, "sweep", 10)
     if name == "split_remark_t_sweep10":
@@ -77,7 +86,7 @@ def control_record(name):
     if name == "gated_sigma_sweep10":
         peeling = peeling_vanishing_certificate(ctx, split, "sweep", 10)
         base_row = base_row_certificate(ctx, mode="sweep", beta_max=10)
-        return quotient_zero_conclusion(ctx, peeling, base_row, "sweep", 10)
+        return quotient_zero_conclusion(ctx, peeling, base_row)
     raise KeyError(name)
 
 

@@ -15,7 +15,6 @@ from hirzcoh.verifier import (
     BETA,
     ELL,
     H,
-    SymbolicUnsupported,
     Tower,
     almost_nef_evidence,
     base_row_certificate,
@@ -154,8 +153,9 @@ def _brute_sym(degrees, m):
 
 
 def test_restrict_numeric_split_control_brute_force():
-    # E|_C = O(-2) + O for the split sum: every tower is unbalanced, so no
-    # degree form exists and the monomials are enumerated here instead
+    # E|_C = O(-2) + O for the split sum: every tower is unbalanced, so its
+    # degrees are enumerated here as monomials, and the largest of them is
+    # the symbolic top form
     split = split_control_datum(CTX2)
     towers = {
         "claim3": lambda b: _brute_sym(_brute_sym([-2, 0], 4), 4 * b),
@@ -174,6 +174,8 @@ def test_restrict_numeric_split_control_brute_force():
             shift = CTX2.intersect(DivisorClass(tower.a(beta, ell), tower.b(beta, ell)), C)
             expected = SplittingType(d + shift for d in towers[name](beta))
             assert st.twist(slope * ell) == expected, (name, beta, ell)
+            top, _ = v._restrict_symbolic(CTX2, tower)
+            assert max(expected.degrees()) == top(beta, ell), (name, beta, ell)
 
 
 @pytest.mark.parametrize("name", ["claim3", "claim4_m15", "charp_p3", "remark_t"])
@@ -211,13 +213,36 @@ def test_restrict_symbolic_forms():
     assert v._restrict_symbolic(CTX2, charp) == (DegreeForm(0, 15 - 36, -2), "C(4b + 1, 1)")
     base = Tower(datum, sym=4, b=BETA.scale(15))
     assert v._restrict_symbolic(CTX2, base)[0] == DegreeForm(0, -1, 0)
+    # the split E|_C = [-2,0]: the top summand comes from the leaf degree 0
+    split = split_control_datum(CTX2)
+    assert v._restrict_symbolic(CTX2, Tower(split)) == (DegreeForm(), "C(4b + 1, 1)")
+    assert v._restrict_symbolic(CTX2, _claim3_tower(split)) == (
+        DegreeForm(0, 15, -2),
+        "C(4b + 4, 4)",
+    )
 
 
-def test_restrict_symbolic_refuses_unbalanced():
-    with pytest.raises(SymbolicUnsupported, match="numeric sweep"):
-        v._restrict_symbolic(CTX2, Tower(split_control_datum(CTX2)))
-    with pytest.raises(SymbolicUnsupported):
-        v._restrict_symbolic(CTX2, _claim3_tower(split_control_datum(CTX2)))
+# each falsifiability control: (certificate, positional args, keyword args)
+_SPLIT = split_control_datum(CTX2)
+_CONTROLS = {
+    "split_claim3": (peeling_vanishing_certificate, (_SPLIT,), {}),
+    "split_remark_t": (direct_not_psef_certificate, (_SPLIT,), {}),
+    "split_charp3": (frobenius_certificate, (3, _SPLIT), {}),
+    "inflated_claim4": (base_row_certificate, (), {"fiber_multiple": 16}),
+}
+
+
+@pytest.mark.parametrize("name", _CONTROLS)
+def test_symbolic_and_sweep_agree_on_the_controls(name):
+    certificate, args, kwargs = _CONTROLS[name]
+    symbolic = certificate(CTX2, *args, **kwargs)
+    sweep = certificate(CTX2, *args, mode="sweep", beta_max=3, **kwargs)
+    assert not symbolic.passed and not sweep.passed
+    point = ("beta", "ell", "h0")
+    assert [symbolic.witness[k] for k in point] == [sweep.witness[k] for k in point]
+    assert symbolic.degree_form == sweep.degree_form
+    if name == "split_claim3":
+        assert [sweep.witness[k] for k in point] == [1, 0, 196]
 
 
 def test_restrict_symbolic_builds_no_splitting_type(monkeypatch):
@@ -313,24 +338,43 @@ def test_quotient_zero_conclusion_gate():
     peel = peeling_vanishing_certificate(CTX2)
     base = base_row_certificate(CTX2)
     rec = quotient_zero_conclusion(CTX2, peel, base)
-    assert rec.passed
+    assert rec.passed and rec.mode == "symbolic"
     assert rec.details["quantifier"] == "all b >= 1"
     assert "evaluation map cannot be generically surjective" in rec.details["ggg_argument"]
     bad = peeling_vanishing_certificate(
         CTX2, split_control_datum(CTX2), mode="sweep", beta_max=3
     )
-    gated = quotient_zero_conclusion(CTX2, bad, base, mode="sweep", beta_max=3)
+    gated = quotient_zero_conclusion(CTX2, bad, base)
     assert not gated.passed
     assert "no conclusion emitted" in gated.headline
     assert "quantifier" not in gated.details
+    assert gated.mode == "sweep"
 
 
 def test_quotient_zero_finite_evidence_label():
     peel = peeling_vanishing_certificate(CTX2, mode="sweep", beta_max=7)
     base = base_row_certificate(CTX2, mode="sweep", beta_max=7)
-    rec = quotient_zero_conclusion(CTX2, peel, base, mode="sweep", beta_max=7)
+    rec = quotient_zero_conclusion(CTX2, peel, base)
     assert rec.passed
     assert rec.details["quantifier"] == "1 <= b <= 7 (finite evidence)"
+    # the quantifier follows the premises: swept only to b = 1, they cannot
+    # support "for all b >= 1"
+    peel = peeling_vanishing_certificate(CTX2, mode="sweep", beta_max=1)
+    base = base_row_certificate(CTX2, mode="sweep", beta_max=1)
+    rec = quotient_zero_conclusion(CTX2, peel, base)
+    assert rec.passed and rec.mode == "sweep"
+    assert rec.details["quantifier"] == "1 <= b <= 1 (finite evidence)"
+    assert "for 1 <= b <= 1 (finite evidence);" in rec.headline
+    # one symbolic premise: the sweep premise's bound is the evidence
+    symbolic_peel = peeling_vanishing_certificate(CTX2)
+    base3 = base_row_certificate(CTX2, mode="sweep", beta_max=3)
+    mixed = quotient_zero_conclusion(CTX2, symbolic_peel, base3)
+    assert mixed.passed and mixed.mode == "sweep"
+    assert mixed.details["quantifier"] == "1 <= b <= 3 (finite evidence)"
+    # two sweep premises with different bounds: the smaller one holds for both
+    peel5 = peeling_vanishing_certificate(CTX2, mode="sweep", beta_max=5)
+    uneven = quotient_zero_conclusion(CTX2, peel5, base3)
+    assert uneven.details["quantifier"] == "1 <= b <= 3 (finite evidence)"
 
 
 @pytest.mark.parametrize(
@@ -544,6 +588,7 @@ def test_status_follows_witness():
     assert v.ClaimRecord("x", "t", "exact", witness={"error": "e"}).status == "FAIL"
     records = [
         peeling_vanishing_certificate(CTX2, split_control_datum(CTX2), "sweep", 5),
+        peeling_vanishing_certificate(CTX2, split_control_datum(CTX2)),
         base_row_certificate(CTX2, fiber_multiple=16),
     ]
     for characteristic in (0, 5):
