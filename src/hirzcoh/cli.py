@@ -178,9 +178,7 @@ def render_report(report: VerificationReport, timestamp: str) -> str:
         )
     else:
         first = report.first_failure()
-        witness = json.dumps(first.witness) if first and first.witness else "none"
-        where = first.claim_id if first else "?"
-        lines.append(f"overall FAIL at {where}; witness: {witness}")
+        lines.append(f"overall FAIL at {first.claim_id}; witness: {json.dumps(first.witness)}")
     lines.append(f"conclusion: {report.conclusion}")
     for note in report.notes:
         lines.append(f"note: {note}")

@@ -34,7 +34,6 @@ fixed claim order, so concurrent evaluation would be deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from . import cohomology
 from .hirzebruch import C, F, ZERO, DivisorClass, SurfaceContext, format_class
@@ -332,9 +331,9 @@ class VanishingSpec:
     """One h^0(C, tower|_C) = 0 certificate, as data for ``_certify``.
 
     ``details`` is the record's details dict, which the evaluator extends.
-    A PASS headline is "<evidence>; <conclusion>", where the evidence is the
-    mode's own (degree form or grid count) unless ``pass_evidence`` builds
-    it from the degree form.
+    Every PASS headline is "<evidence>; <conclusion>": the evidence is the
+    mode's own (the degree form in symbolic mode, the grid count in sweep
+    mode), and the conclusion is the certificate's own text.
     """
 
     claim_id: str
@@ -343,7 +342,6 @@ class VanishingSpec:
     details: dict
     premises: tuple[Premise, ...]
     conclusion: str
-    pass_evidence: Callable[[DegreeForm], str] | None = None
 
 
 def _sweep_vanishing(
@@ -387,8 +385,9 @@ def _certify(
     if mode == "symbolic":
         witness = None
         evidence = f"restricted degrees {form.compact()} < 0 on the region"
-        if not form.is_negative_on_region():
-            beta, ell = form.nonnegative_witness()
+        point = form.nonnegative_witness()
+        if point is not None:
+            beta, ell = point
             st, slope = _restrict_numeric(ctx, spec.tower, beta)
             value = st.h0(slope * ell)
             witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
@@ -407,8 +406,6 @@ def _certify(
                 f"h^0 = {witness['h0']} > 0 at (b, l) = ({witness['beta']}, {witness['ell']})"
             )
     if witness is None:
-        if spec.pass_evidence is not None:
-            evidence = spec.pass_evidence(form)
         headline = f"{evidence}; {spec.conclusion}"
     return ClaimRecord(spec.claim_id, spec.title, mode, headline, form, details, witness)
 
@@ -416,34 +413,43 @@ def _certify(
 def _base_row_identity(
     ctx: SurfaceContext, fiber_multiple: int, beta_max: int | None
 ) -> tuple[bool, dict]:
-    """Check h^0(O(m*b*F)) = m*b + 1 = h^0(O(m*b)) on P^1 by three routes.
-
-    The routes are the closed-form row sum ``cohomology.h0``, h^0 of the
-    line bundle O(m*b) on P^1, and the lattice-point oracle, which is
-    skipped past its enumeration bound.
+    """The base-row identity h^0(O(m*b*F)) = m*b + 1 = h^0(O(m*b)) on P^1.
 
     Sections of a bundle pulled back from the base restrict bijectively to
     C because C is a section of the ruling; the dimension identity is the
-    checkable shadow of that bijection.  Symbolic mode samples b = 1..8.
+    checkable shadow of that bijection.
+
+    Symbolic mode (``beta_max`` None) decides it by its form, for every
+    b >= 1 at once: for a = 0 the section polygon is the single row
+    0 <= u <= m*b, and h^0(O(n)) = n + 1 on P^1 for n >= 0, so the identity
+    holds on the whole region exactly when the fiber degree m*b >= 0 there,
+    i.e. m >= 0 (m < 0 breaks it at b = 2).  No h^0 is evaluated.  Sweep
+    mode checks b = 1..beta_max by three routes: the closed-form row sum
+    ``cohomology.h0``, h^0 of O(m*b) on P^1, and the lattice-point oracle,
+    which is skipped past its enumeration bound.
     """
-    checked = list(range(1, (beta_max or 8) + 1))
-    ok = all(
-        cohomology.h0(ctx, cls) == SplittingType((cls.b,)).h0() == cls.b + 1
-        and (
-            abs(cls.b) > cohomology.BRUTE_FORCE_BOUND
-            or cohomology.brute_force_h0(ctx, cls) == cls.b + 1
-        )
-        for cls in (DivisorClass(0, fiber_multiple * beta) for beta in checked)
-    )
-    info = {
+    info: dict = {
         "identity": f"h0(O({fiber_multiple}b F)) = {fiber_multiple}b + 1 = h0 on P^1",
         "reason": (
             "C is a section of the ruling, so sections pulled back from the "
             "base restrict bijectively to C"
         ),
-        "checked_betas": checked,
-        "holds": ok,
     }
+    if beta_max is None:
+        ok = fiber_multiple >= 0
+        info["fiber_degree"] = f"{fiber_multiple}b >= 0 on the region"
+    else:
+        checked = list(range(1, beta_max + 1))
+        ok = all(
+            cohomology.h0(ctx, cls) == SplittingType((cls.b,)).h0() == cls.b + 1
+            and (
+                abs(cls.b) > cohomology.BRUTE_FORCE_BOUND
+                or cohomology.brute_force_h0(ctx, cls) == cls.b + 1
+            )
+            for cls in (DivisorClass(0, fiber_multiple * beta) for beta in checked)
+        )
+        info["checked_betas"] = checked
+    info["holds"] = ok
     return ok, info
 
 
@@ -591,7 +597,9 @@ def frobenius_certificate(
     pullback of the extension by H gives an extension of the ample O(H) by
     the big O(qC + H); the vanishing analogous to the peeling certificate
     has common restricted degree (15 - 4q)b - 2l, with boundary value
-    15 - 4q <= -1 attained exactly at q = 4.
+    15 - 4q <= -1 attained exactly at q = 4.  Like every vanishing
+    certificate, a PASS headline opens with its mode's evidence; p, k, q and
+    the boundary follow in the conclusion.
     """
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
@@ -630,10 +638,9 @@ def frobenius_certificate(
             _premise("polarization identity 5H = 5C + 15F", identity_holds),
             _premise("base-row identity", row_ok),
         ),
-        conclusion=f"(F^{k}* E)(H) is not pseudo-effective",
-        pass_evidence=lambda form: (
-            f"p = {p}: exponent {k}, multiplier q = {q}; "
-            f"degrees {form.compact()} < 0 on the region (boundary 15 - 4q = {boundary})"
+        conclusion=(
+            f"p = {p}: exponent {k}, multiplier q = {q}, boundary 15 - 4q = {boundary}; "
+            f"(F^{k}* E)(H) is not pseudo-effective"
         ),
     )
     return _certify(ctx, spec, mode, beta_max)
@@ -734,16 +741,27 @@ def almost_nef_evidence(
 
 @dataclass
 class VerificationReport:
-    """All records of one replay, merged in canonical claim order."""
+    """All records of one replay, merged in canonical claim order.
+
+    The verdict is derived from the records, never stored: ``overall`` is
+    PASS exactly when every record passes, and ``conclusion`` is "not
+    pseudo-effective" only then.
+    """
 
     e: int
     characteristic: int
     mode: str
     beta_max: int | None
     records: list[ClaimRecord]
-    overall: str
-    conclusion: str
     notes: list[str]
+
+    @property
+    def overall(self) -> str:
+        return FAIL if self.first_failure() is not None else PASS
+
+    @property
+    def conclusion(self) -> str:
+        return "not pseudo-effective" if self.overall == PASS else "not certified"
 
     def record(self, claim_id: str) -> ClaimRecord | None:
         for rec in self.records:
@@ -797,10 +815,9 @@ def run_full_replay(
 ) -> VerificationReport:
     """Compose every certificate for the chosen characteristic.
 
-    Overall status is PASS exactly when every constituent record passes;
-    the conclusion line is "not pseudo-effective" only in that case.  A
-    failed premise stops the dependent certificates, so the first failure
-    is the report's witness.
+    The report derives its verdict from the records it holds.  A failed
+    premise stops the dependent certificates, so the first failure is the
+    report's witness.
     """
     _check_mode(mode, beta_max)
     if characteristic != 0 and not is_prime(characteristic):
@@ -825,8 +842,4 @@ def run_full_replay(
             )
         records.append(direct_not_psef_certificate(ctx, datum, mode, beta_max))
         records.append(almost_nef_evidence(ctx, datum))
-    overall = PASS if all(r.passed for r in records) else FAIL
-    conclusion = "not pseudo-effective" if overall == PASS else "not certified"
-    return VerificationReport(
-        ctx.e, characteristic, mode, beta_max, records, overall, conclusion, notes
-    )
+    return VerificationReport(ctx.e, characteristic, mode, beta_max, records, notes)

@@ -5,10 +5,16 @@ timestamped ``#`` header) and the JSON report for every e in {1, 2, 3},
 characteristic in {0, 2, 3, 5, 7} and mode (symbolic, sweep to beta 10),
 plus the JSON of each falsifiability control record.  Any change to a
 headline, a detail key, its order or a witness shows up here.
+
+After a deliberate output change, ``python tests/test_golden.py --write``
+rewrites every file under ``tests/golden/`` from the current code; review
+the diff before committing it.  Under pytest nothing is written.
 """
 
 import io
 import json
+import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -108,3 +114,21 @@ def test_control_matches_golden(name):
     text = control_json(name)
     assert text == (GOLDEN / f"control_{name}.json").read_text(encoding="utf-8")
     assert json.loads(text)["status"] == "FAIL"
+
+
+def write_goldens():
+    """Rewrite every golden file from the current code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for e, char, mode in VERIFY_CASES:
+            _, text, raw = verify_outputs(e, char, mode, Path(tmp) / "r.json")
+            name = verify_name(e, char, mode)
+            (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+            (GOLDEN / f"{name}.json").write_bytes(raw)
+    for name in CONTROLS:
+        (GOLDEN / f"control_{name}.json").write_text(control_json(name), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    write_goldens()

@@ -307,6 +307,8 @@ def test_base_row_certificate_symbolic():
     assert rec.passed
     assert rec.degree_form == DegreeForm(0, -1, 0)
     assert rec.details["base_row"]["holds"]
+    assert rec.details["base_row"]["fiber_degree"] == "15b >= 0 on the region"
+    assert "checked_betas" not in rec.details["base_row"]
 
 
 def test_base_row_certificate_sweep():
@@ -322,6 +324,29 @@ def test_base_row_identity_both_routes():
         assert coh.h0(CTX2, cls) == 15 * beta + 1
         assert SplittingType((15 * beta,)).h0() == 15 * beta + 1
         assert coh.brute_force_h0(CTX2, cls) == 15 * beta + 1
+
+
+def _refuse_oracle(ctx, d):
+    raise AssertionError("the lattice-point oracle was evaluated")
+
+
+def test_symbolic_base_row_is_a_form(monkeypatch):
+    # a negative fiber multiple fails the premise by its form alone
+    monkeypatch.setattr(coh, "brute_force_h0", _refuse_oracle)
+    rec = base_row_certificate(CTX2, fiber_multiple=-1)
+    assert not rec.passed
+    assert rec.witness == {"error": "base-row identity failed"}
+    assert rec.details["base_row"]["fiber_degree"] == "-1b >= 0 on the region"
+    assert not rec.details["base_row"]["holds"]
+
+
+def test_symbolic_base_row_agrees_with_sampled_routes():
+    for e in range(4):
+        ctx = SurfaceContext(e)
+        for m in (-2, -1, 0, 3, 15, 16):
+            symbolic, _ = v._base_row_identity(ctx, m, None)
+            sampled, _ = v._base_row_identity(ctx, m, 8)
+            assert symbolic == sampled == (m >= 0), (e, m)
 
 
 def test_inflated_twist_control_fails():
@@ -581,6 +606,37 @@ def test_gate_integrity():
             rep = run_full_replay(SurfaceContext(e), characteristic, "symbolic")
             assert (rep.overall == "PASS") == all(r.passed for r in rep.records)
             assert (rep.conclusion == "not pseudo-effective") == (rep.overall == "PASS")
+
+
+def test_report_verdict_follows_records():
+    rep = run_full_replay(CTX2, 0, "symbolic")
+    assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
+    rep.record("remark_t").status = "FAIL"
+    assert (rep.overall, rep.conclusion) == ("FAIL", "not certified")
+    assert rep.first_failure().claim_id == "remark_t"
+    rep.record("remark_t").status = "PASS"
+    assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
+
+
+@pytest.mark.parametrize("characteristic", (0, 2, 3, 5, 7))
+def test_symbolic_replay_evaluates_no_oracle(monkeypatch, characteristic):
+    monkeypatch.setattr(coh, "brute_force_h0", _refuse_oracle)
+    assert run_full_replay(CTX2, characteristic, "symbolic").overall == "PASS"
+
+
+@pytest.mark.parametrize(
+    "mode,beta_max,evidence",
+    (("symbolic", None, "restricted degrees "), ("sweep", 3, "h^0 = 0 at all ")),
+)
+def test_pass_headline_opens_with_mode_evidence(mode, beta_max, evidence):
+    for characteristic in (0, 2, 3, 5, 7):
+        rep = run_full_replay(CTX2, characteristic, mode, beta_max)
+        vanishing = [
+            r for r in rep.records if r.claim_id in ("claim3", "claim4", "charp", "remark_t")
+        ]
+        assert len(vanishing) == (3 if characteristic == 0 else 2)
+        for rec in vanishing:
+            assert rec.passed and rec.headline.startswith(evidence), rec.headline
 
 
 def test_status_follows_witness():
