@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / overall PASS, 1 = a certificate failed,
 2 = usage error (bad grammar, bad flags, refused requests) or an
-unwritable ``--json`` path.
+unwritable ``--json`` path, 141 = stdout was closed before all output was
+written (a reader such as ``head`` quit early).
 
 Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
@@ -17,6 +18,7 @@ and import, so they load only the calculators they use.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import cohomology
@@ -29,6 +31,10 @@ from .p1 import (
     parse_splitting,
 )
 from .primes import is_prime
+
+#: Exit status when stdout is closed early: 128 + SIGPIPE, which a shell
+#: also reports for a writer that SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 
 def _yesno(flag: bool) -> str:
@@ -259,10 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         args = parser.parse_args(["verify"])
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ValueError as exc:  # the parse errors of every grammar subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # as the SIGPIPE note in the signal module docs advises: send what
+        # is still buffered to devnull, so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

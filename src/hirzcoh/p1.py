@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, e, log2
 from typing import Iterable
 
@@ -61,12 +61,12 @@ class SplittingType:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SplittingType":
         """Build from (degree, multiplicity) pairs; multiplicities must be > 0."""
-        counts: Counter[int] = Counter()
+        counts: dict[int, int] = {}
         for d, r in pairs:
             if r < 0:
                 raise ValueError(f"negative multiplicity {r} for degree {d}")
             if r:
-                counts[d] += r
+                counts[d] = counts.get(d, 0) + r
         st = cls.__new__(cls)
         object.__setattr__(st, "_pairs", tuple(sorted(counts.items())))
         return st
@@ -103,14 +103,24 @@ class SplittingType:
     # -- cohomology and positivity -------------------------------------
 
     def h0(self, twist: int = 0) -> int:
-        """dim H^0 of the bundle tensored with O(twist).
+        """dim H^0 of the bundle tensored with O(twist): one point of ``h0_row``."""
+        return self.h0_row(0, 0, twist)[0]
 
-        That is the sum of (d_i + twist + 1) over summands with
-        d_i + twist >= 0; no twisted type is built.  The pairs are sorted,
-        so the summands without sections are skipped by bisection.
+    def h0_row(self, slope: int, n: int, twist: int = 0) -> list[int]:
+        """dim H^0 of the bundle tensored with O(twist + slope*l), for l = 0..n.
+
+        At a twist t that is the sum of r*(d + t + 1) over the pairs (d, r)
+        with d + t >= 0; no twisted type is built.  Suffix sums R[k] of r and
+        D[k] of r*d over the sorted pairs are taken once, so each point costs
+        one bisection for the first pair k with d >= -t, and reads
+        D[k] + (t + 1)*R[k].
         """
-        pairs, k = self._pairs, twist + 1
-        return sum(r * (d + k) for d, r in pairs[bisect_left(pairs, (-twist,)) :])
+        pairs = self._pairs
+        degrees = [d for d, _ in pairs]
+        ranks = [*accumulate((r for _, r in reversed(pairs)), initial=0)][::-1]
+        weights = [*accumulate((r * d for d, r in reversed(pairs)), initial=0)][::-1]
+        twists = range(twist, twist + slope * (n + 1), slope) if slope else [twist] * (n + 1)
+        return [weights[k] + (t + 1) * ranks[k] for t in twists for k in [bisect_left(degrees, -t)]]
 
     def h1(self) -> int:
         """dim H^1 = sum of (-d_i - 1) over summands with d_i <= -2."""

@@ -21,9 +21,10 @@ has no sections exactly when its largest degree is negative, so
 negativity of that form on the whole region b >= 1, l >= 0 certifies
 h^0 = 0 for every parameter value at once, and a point where it is not
 negative is a witness, balanced or not.  Sweep mode replays the same
-h^0 computations numerically on a finite grid: it builds each tower once
-per b as a splitting type, and since l enters only through the twist on
-top, it reads h^0 at each l off the shifted pairs.  Deliberately
+h^0 computations numerically on a finite grid: it builds the b-independent
+base of each tower once, the tower once per b as a splitting type, and
+since l enters only through the twist on top, it reads h^0 at every l of
+that b off one pass of suffix sums over the pairs.  Deliberately
 corrupted inputs (the split direct sum, an inflated twist) must make the
 affected certificate FAIL; the test suite checks that they do.
 
@@ -33,7 +34,7 @@ fixed claim order, so concurrent evaluation would be deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import cohomology
 from .hirzebruch import C, F, ZERO, DivisorClass, SurfaceContext, format_class
@@ -75,8 +76,12 @@ _SETUP_IDS = ("extension", "restriction")
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
+_Datum = NamedTuple(
+    "_Datum", [("sub", DivisorClass), ("quot", DivisorClass), ("nonsplit", bool), ("ext_dim", int)]
+)
+
+
+class ExtensionDatum(_Datum):
     """A rank-2 extension of O(quot) by O(sub), plus its Ext-group size.
 
     It is the bundle E at the bottom of every ``Tower``.  ``ext_dim`` is
@@ -84,18 +89,15 @@ class ExtensionDatum:
     ``nonsplit`` records whether a nonzero class was taken.
     """
 
-    sub: DivisorClass
-    quot: DivisorClass
-    nonsplit: bool
-    ext_dim: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.nonsplit and self.ext_dim < 1:
+    def __new__(cls, sub: DivisorClass, quot: DivisorClass, nonsplit: bool, ext_dim: int):
+        if nonsplit and ext_dim < 1:
             raise ValueError("a nonsplit extension needs ext_dim >= 1")
+        return super().__new__(cls, sub, quot, nonsplit, ext_dim)
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """S^{ALPHA*b}(S^sym(F^{frob*} E))(a*C + b*F), E the extension bundle.
 
     Every certificate restricts a tower of this shape to C.  ``frob`` is 1
@@ -128,21 +130,28 @@ def _leaf_restriction(
     )
 
 
-def _restrict_numeric(
-    ctx: SurfaceContext, tower: Tower, beta: int
-) -> tuple[SplittingType, int]:
-    """tower|_C at (beta, 0), and the slope one step of l adds to every degree.
-
-    l enters only through the twist on top, so the restriction at
-    (beta, ell) is the returned type twisted by ``slope * ell``.
-    """
+def _restrict_base(ctx: SurfaceContext, tower: Tower) -> SplittingType:
+    """S^sym(F^{frob*} E)|_C: the part of tower|_C that no parameter enters."""
     st = _leaf_restriction(ctx, tower.datum, C)
     if tower.frob > 1:
         st = st.frobenius_pullback(tower.frob)
-    if tower.sym != 1:  # S^1 is the identity
-        st = st.sym_power(tower.sym)
+    return st if tower.sym == 1 else st.sym_power(tower.sym)  # S^1 is the identity
+
+
+def _restrict_numeric(
+    ctx: SurfaceContext, tower: Tower, beta: int, base: SplittingType | None = None
+) -> tuple[SplittingType, int]:
+    """tower|_C at (beta, 0), and the slope one step of l adds to every degree.
+
+    ``base`` is ``_restrict_base(ctx, tower)``; a sweep builds it once and
+    passes it in, so only S^{ALPHA*beta} and the twist are built per beta.
+    l enters only through the twist on top, so the restriction at
+    (beta, ell) is the returned type twisted by ``slope * ell``.
+    """
+    if base is None:
+        base = _restrict_base(ctx, tower)
     twist = restricted_twist_degree(ctx, tower.a, tower.b)
-    return st.sym_power(ALPHA * beta).twist(twist(beta)), twist.cl
+    return base.sym_power(ALPHA * beta).twist(twist(beta)), twist.cl
 
 
 def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, str]:
@@ -165,26 +174,28 @@ def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, s
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class ClaimRecord:
     """One certified statement: what was checked, how, and the outcome.
 
-    The status follows the witness: FAIL exactly when a witness is given.
-    ``degree_form`` is the top restricted degree of a vanishing claim's
-    tower, which is every summand's degree when the bundle is balanced.
+    ``mode`` is "symbolic", "sweep" or "exact".  The status follows the
+    witness: FAIL exactly when a witness is given.  ``degree_form`` is the
+    top restricted degree of a vanishing claim's tower, which is every
+    summand's degree when the bundle is balanced.
     """
 
-    claim_id: str
-    title: str
-    mode: str  # "symbolic" | "sweep" | "exact"
-    status: str = field(init=False)
-    headline: str = ""
-    degree_form: DegreeForm | None = None
-    details: dict = field(default_factory=dict)
-    witness: dict | None = None
-
-    def __post_init__(self) -> None:
-        self.status = PASS if self.witness is None else FAIL
+    def __init__(
+        self,
+        claim_id: str,
+        title: str,
+        mode: str,
+        headline: str = "",
+        degree_form: DegreeForm | None = None,
+        details: dict | None = None,
+        witness: dict | None = None,
+    ) -> None:
+        self.claim_id, self.title, self.mode, self.headline = claim_id, title, mode, headline
+        self.degree_form, self.details, self.witness = degree_form, details or {}, witness
+        self.status = PASS if witness is None else FAIL
 
     @property
     def passed(self) -> bool:
@@ -326,8 +337,7 @@ def _premise(name: str, holds: bool, **facts) -> Premise:
     return (name, holds, {"error": f"{name} failed", **facts})
 
 
-@dataclass
-class VanishingSpec:
+class VanishingSpec(NamedTuple):
     """One h^0(C, tower|_C) = 0 certificate, as data for ``_certify``.
 
     ``details`` is the record's details dict, which the evaluator extends.
@@ -349,18 +359,20 @@ def _sweep_vanishing(
 ) -> tuple[int, dict | None]:
     """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins.
 
-    The tower is built once per b as a splitting type; each l then reads
-    h^0 off its pairs shifted by ``slope * l``.  Every grid point is still
-    computed from the splitting type, never from the degree form.
+    The tower's base is built once and the tower once per b as a splitting
+    type; ``h0_row`` then reads h^0 at every l of that b, shifted by
+    ``slope * l``, off one pass of suffix sums over its pairs.  Every grid
+    point is still computed from the splitting type, never from the degree
+    form.
     """
-    evaluations = 0
+    base, evaluations = _restrict_base(ctx, tower), 0
     for beta in range(1, beta_max + 1):
-        st, slope = _restrict_numeric(ctx, tower, beta)
-        for ell in range(0, 5 * beta + 1):
-            evaluations += 1
-            value = st.h0(slope * ell)
-            if value:
-                return evaluations, {"beta": beta, "ell": ell, "h0": value}
+        st, slope = _restrict_numeric(ctx, tower, beta, base)
+        row = st.h0_row(slope, 5 * beta)
+        if any(row):
+            ell = next(ell for ell, value in enumerate(row) if value)
+            return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": row[ell]}
+        evaluations += len(row)
     return evaluations, None
 
 
@@ -486,7 +498,10 @@ def peeling_vanishing_certificate(
             "polarization_identity_holds": identity_holds,
             "peeling": "l = 1..5b: vanishing on C makes each column inclusion bijective on H^0",
         },
-        premises=(_premise("polarization identity 5H = 5C + 15F", identity_holds),),
+        premises=(
+            _premise("polarization H ample on F_e", ctx.is_ample(H)),
+            _premise("polarization identity 5H = 5C + 15F", identity_holds),
+        ),
         conclusion="every column inclusion is bijective on H^0",
     )
     return _certify(ctx, spec, mode, beta_max)
@@ -520,7 +535,10 @@ def base_row_certificate(
         "zero map on global sections into the base-pulled-back twist",
         Tower(datum, sym=4, b=BETA.scale(m)),
         details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C", "base_row": row_info},
-        premises=(_premise("base-row identity", row_ok),),
+        premises=(
+            _premise("polarization H ample on F_e", ctx.is_ample(H)),
+            _premise("base-row identity", row_ok),
+        ),
         conclusion=(
             f"H^0 into O({m}bF) is the zero map; "
             f"base row h^0(O({m}bF)) = {m}b + 1 restricts bijectively to C"
@@ -634,6 +652,7 @@ def frobenius_certificate(
             "base_row": row_info,
         },
         premises=(
+            _premise("polarization H ample on F_e", ctx.is_ample(H)),
             _premise("boundary 15 - 4q <= -1", boundary <= -1, boundary_value=boundary),
             _premise("polarization identity 5H = 5C + 15F", identity_holds),
             _premise("base-row identity", row_ok),
@@ -676,6 +695,7 @@ def direct_not_psef_certificate(
             "base_row": row_info,
         },
         premises=(
+            _premise("polarization H ample on F_e", ctx.is_ample(H)),
             _premise("polarization identity H = C + 3F", identity_holds),
             _premise("base-row identity", row_ok),
         ),
@@ -704,7 +724,7 @@ def almost_nef_evidence(
         headline, details = f"restriction type undetermined: {exc}", {}
         witness = {"error": str(exc)}
     else:
-        split_on_c = _leaf_restriction(ctx, replace(datum, nonsplit=False), C)
+        split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
         rows = [
             {"curve": curve, "type": format_splitting(st), "nef": st.is_nef()}
             for curve, st in (
@@ -739,8 +759,7 @@ def almost_nef_evidence(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All records of one replay, merged in canonical claim order.
 
     The verdict is derived from the records, never stored: ``overall`` is

@@ -363,7 +363,10 @@ def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
 
 
 # modules only ``verify`` needs; the calculators must start without them
-VERIFY_ONLY_MODULES = {"hirzcoh.verifier", "dataclasses", "json", "datetime"}
+VERIFY_ONLY_MODULES = {"hirzcoh.verifier", "json", "datetime"}
+# modules no command needs: the value and record classes are plain classes
+# or named tuples, so nothing loads dataclasses (and with it inspect)
+NEVER_IMPORTED = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -380,10 +383,40 @@ def test_calculators_cold_start_without_verifier(argv):
     code, modules = imported_modules(*argv)
     assert code == 0
     assert "hirzcoh.cohomology" in modules
-    assert modules & VERIFY_ONLY_MODULES == set()
+    assert modules & (VERIFY_ONLY_MODULES | NEVER_IMPORTED) == set()
 
 
 def test_verify_cold_start_loads_verifier():
     code, modules = imported_modules("verify")
     assert code == 0
     assert "hirzcoh.verifier" in modules
+    assert modules & NEVER_IMPORTED == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--mode", "sweep", "--beta-max", "3"),
+        ("split", "[0,1]", "sym:2000"),
+        ("coh", "C"),
+    ],
+    ids=["verify", "split", "coh"],
+)
+def test_closed_stdout_is_not_a_verdict(argv):
+    """A reader that quits early (``| head``) gives neither exit 1 nor a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hirzcoh.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert cli.EXIT_BROKEN_PIPE not in (0, 1, 2)
+    assert proc.stderr == ""

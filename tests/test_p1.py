@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hirzcoh.p1 import (
@@ -33,6 +33,31 @@ def test_h0_h1_examples():
 def test_h0_of_twist_reads_shifted_pairs(s, n):
     assert s.h0(n) == s.twist(n).h0()
     assert SplittingType().h0(n) == 0
+
+
+# empty, balanced (one degree, any multiplicity) and unbalanced types
+row_types = st.one_of(
+    st.just(SplittingType()),
+    st.builds(lambda d, r: SplittingType([d] * r), st.integers(-20, 20), st.integers(1, 6)),
+    st.lists(st.integers(-20, 20), min_size=2, max_size=8)
+    .filter(lambda ds: len(set(ds)) > 1)
+    .map(SplittingType),
+)
+
+
+@given(row_types, st.integers(-6, 6), st.integers(0, 30), st.integers(-40, 40))
+@example(SplittingType(), -2, 5, 0)
+@example(SplittingType([-3] * 4), 0, 6, 3)
+@example(SplittingType([-2, 0, 0, 5]), 0, 4, -1)
+@example(SplittingType([-2, 0, 0, 5]), -2, 10, 8)
+@example(SplittingType([-2, 0, 0, 5]), 3, 10, -12)
+def test_h0_row_matches_definition(s, slope, n, twist):
+    def h0_def(t):
+        return sum(d + t + 1 for d in s.degrees() if d + t >= 0)
+
+    twists = [twist + slope * ell for ell in range(n + 1)]
+    assert s.h0_row(slope, n, twist) == [h0_def(t) for t in twists]
+    assert [s.h0(t) for t in twists] == [h0_def(t) for t in twists]
 
 
 def test_twist():

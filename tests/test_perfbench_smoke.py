@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["replay_sweep", "coh_table"])
+@pytest.mark.parametrize("workload", ["replay_sweep", "coh_table", "split_calc"])
 def test_traced_workload_smoke(workload):
     proc = subprocess.run(
         [
@@ -47,6 +47,10 @@ def test_traced_workload_smoke(workload):
     assert missing == []
     if workload == "replay_sweep":
         assert metrics["verifier.evaluations"]["value"] > 0
+    elif workload == "split_calc":
+        # every leaf is unbalanced, so every symmetric power enumerates
+        calls = metrics["p1.sym_power.calls"]["value"]
+        assert metrics["p1.sym_power.enumerated_calls"]["value"] == calls > 0
     else:
         # the closed forms answer every class; only the oracle walks points
         assert metrics["cohomology.pushforward_splitting.calls"]["value"] == 0

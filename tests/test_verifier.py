@@ -45,6 +45,16 @@ def test_build_extension():
         build_extension(SurfaceContext(0))
 
 
+def test_extension_datum_checks_ext_dim():
+    datum = build_extension(CTX2)
+    with pytest.raises(ValueError, match="ext_dim >= 1"):
+        v.ExtensionDatum(C, DivisorClass(0, 0), True, 0)
+    assert v.ExtensionDatum(C, DivisorClass(0, 0), False, 0).ext_dim == 0
+    assert datum._replace(nonsplit=False) == split_control_datum(CTX2)
+    with pytest.raises(AttributeError):
+        datum.nonsplit = False
+
+
 def test_restriction_certificate():
     rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
     assert rec.passed
@@ -183,18 +193,25 @@ def test_sweep_builds_each_tower_once_per_beta(name, monkeypatch):
     certificate, args, kwargs, _ = _TOWERS[name]
     beta_max = 7
     spec = _spec(certificate, *args, **kwargs)
-    top_level = []
-    real = v._restrict_numeric
+    bases, top_level = [], []
+    real_base, real_numeric = v._restrict_base, v._restrict_numeric
 
-    def counting(ctx, tower, beta):
+    def counting_base(ctx, tower):
         assert tower == spec.tower
-        top_level.append(beta)
-        return real(ctx, tower, beta)
+        bases.append(real_base(ctx, tower))
+        return bases[-1]
 
+    def counting(ctx, tower, beta, base):
+        assert tower == spec.tower and base is bases[0]
+        top_level.append(beta)
+        return real_numeric(ctx, tower, beta, base)
+
+    monkeypatch.setattr(v, "_restrict_base", counting_base)
     monkeypatch.setattr(v, "_restrict_numeric", counting)
     rec = certificate(CTX2, *args, mode="sweep", beta_max=beta_max, **kwargs)
     assert rec.passed
-    assert top_level == list(range(1, beta_max + 1))
+    assert len(bases) == 1  # the b-independent base, once per certificate
+    assert top_level == list(range(1, beta_max + 1))  # S^{4b} and the twist, once per b
     assert rec.details["evaluations"] == sum(5 * b + 1 for b in range(1, beta_max + 1))
 
 
@@ -606,6 +623,28 @@ def test_gate_integrity():
             rep = run_full_replay(SurfaceContext(e), characteristic, "symbolic")
             assert (rep.overall == "PASS") == all(r.passed for r in rep.records)
             assert (rep.conclusion == "not pseudo-effective") == (rep.overall == "PASS")
+
+
+@pytest.mark.parametrize("e", range(7))
+def test_no_conclusion_without_ample_polarization(e):
+    """Ampleness of H is the premise of the pseudo-effectivity definition refuted."""
+    ctx = SurfaceContext(e)
+    for characteristic in (0, 2, 3, 5, 7):
+        for mode, beta_max in (("symbolic", None), ("sweep", 2)):
+            rep = run_full_replay(ctx, characteristic, mode, beta_max)
+            if rep.conclusion == "not pseudo-effective":
+                assert ctx.is_ample(H), (characteristic, mode)
+    if e >= 2:  # an extension exists; each certificate checks the premise first
+        datum = build_extension(ctx)
+        records = [
+            peeling_vanishing_certificate(ctx, datum),
+            base_row_certificate(ctx, datum),
+            frobenius_certificate(ctx, 3, datum),
+            direct_not_psef_certificate(ctx, datum),
+        ]
+        premise_failed = {"error": "polarization H ample on F_e failed"}
+        for rec in records:
+            assert (rec.witness == premise_failed) == (not ctx.is_ample(H)), rec.claim_id
 
 
 def test_report_verdict_follows_records():
