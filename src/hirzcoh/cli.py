@@ -200,8 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     ctx = SurfaceContext(args.e)
     report = run_full_replay(ctx, args.char, args.mode, args.beta_max)
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    print(render_report(report, stamp))
+    # the file first: an unwritable path exits 2 with an empty stdout, and
+    # a reader that quits early cannot stop the file from being written
     if args.json:
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
         try:
@@ -209,6 +209,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write JSON report: {exc}", file=sys.stderr)
             return 2
+    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    print(render_report(report, stamp))
     return 0 if report.overall == "PASS" else 1
 
 

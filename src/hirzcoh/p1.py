@@ -7,7 +7,12 @@ pullback, nefness, and the splitting type of rank-2 extensions.
 
 Multiplicities are kept aggregated, so balanced bundles with
 astronomically many summands (high symmetric powers of O(d)^r) stay
-constant-sized.  All arithmetic is unbounded-integer exact.
+constant-sized.  A symmetric power takes one of three routes: a balanced
+bundle gives one aggregated summand; an arithmetic progression
+a, a+s, ..., a+n*s of multiplicity-one degrees (every unbalanced rank-2
+bundle, and its twists, pullbacks and symmetric powers) gives the Gaussian
+binomial [m+n choose n] in q = t^s; anything else enumerates its monomials.
+All arithmetic is unbounded-integer exact.
 
 ``DegreeForm`` is the symbolic companion: an affine integer form
 ``c0 + cb*b + cl*l`` in two nonnegative parameters.  A bundle on P^1 has
@@ -26,8 +31,12 @@ from typing import Iterable
 
 # Enumerating the m-th symmetric power sums m degrees for each monomial;
 # refuse past this many terms (m times the monomial count).  Balanced
-# inputs never enumerate.
+# inputs and progressions never enumerate; a progression's Gaussian
+# binomial is refused past this many additions too.
 _SYM_ENUMERATION_LIMIT = 5_000_000
+
+# The Gaussian binomial of a progression refuses more output pairs than this.
+_SYM_PROGRESSION_PAIRS = 100_000
 
 # degrees() refuses to expand multisets larger than this.
 _EXPAND_LIMIT = 1_000_000
@@ -148,7 +157,9 @@ class SplittingType:
         Degrees are the monomial weights: one summand per degree-m monomial
         in rank-many variables of weights d_i, so the rank of the result is
         comb(rank + m - 1, m).  Balanced input short-circuits to a single
-        aggregated summand; anything else enumerates the monomials.
+        aggregated summand.  Multiplicity-one degrees a, a+s, ..., a+n*s
+        take the Gaussian binomial (``_progression_power``); anything else
+        enumerates the monomials.
         """
         if m < 0:
             raise ValueError(f"symmetric power wants a nonnegative exponent, got {m}")
@@ -156,10 +167,14 @@ class SplittingType:
             return SplittingType((0,))
         if m == 1 or not self._pairs:
             return self
-        if len(self._pairs) == 1:
-            d, r = self._pairs[0]
+        pairs = self._pairs
+        if len(pairs) == 1:
+            d, r = pairs[0]
             return SplittingType.from_pairs([(m * d, _sym_rank(r, m))])
         n_monomials = _sym_rank(self.rank, m)
+        a, s = pairs[0][0], pairs[1][0] - pairs[0][0]
+        if all(p == (a + k * s, 1) for k, p in enumerate(pairs)):
+            return _progression_power(a, s, len(pairs) - 1, m)
         if m * n_monomials > _SYM_ENUMERATION_LIMIT:
             raise ValueError(
                 f"symmetric power has {n_monomials} summands of {m} terms each; "
@@ -169,6 +184,40 @@ class SplittingType:
             sum(combo) for combo in combinations_with_replacement(self.degrees(), m)
         )
         return SplittingType.from_pairs(sums.items())
+
+
+def _progression_power(a: int, s: int, n: int, m: int) -> SplittingType:
+    """S^m of the degrees a, a+s, ..., a+n*s, each once (s > 0; n, m >= 1).
+
+    A degree-m monomial's weight is m*a + s*j, where j is a sum of m
+    exponents in 0..n; the number of such monomials is the coefficient of
+    q^j in the Gaussian binomial [m+n choose n] (Stanley, EC1, section 1.7),
+    for j = 0..n*m.  By its symmetry in n and m that is the product of
+    (1 - q^(big+i)) / (1 - q^i) over i = 1..small, with small = min(n, m)
+    and big = max(n, m).  Each factor is one shift-subtract and one stride-i
+    prefix sum on the coefficient list, truncated to its final degree
+    big*i, so the whole costs at most small*(n*m + 1) additions.  That and
+    the n*m + 1 output pairs are bounded before any work; both stay below
+    the enumeration bound m*comb(n+m, m), so every progression enumeration
+    would accept is answered.
+    """
+    small, big, size = min(n, m), max(n, m), n * m + 1
+    if small * size > _SYM_ENUMERATION_LIMIT or size > _SYM_PROGRESSION_PAIRS:
+        raise ValueError(
+            f"symmetric power of a {n + 1}-term progression has {size} degrees "
+            f"at {small} additions each; refusing more than {_SYM_PROGRESSION_PAIRS} "
+            f"degrees or {_SYM_ENUMERATION_LIMIT} additions"
+        )
+    coeffs = [1]
+    for i in range(1, small + 1):
+        shift = big + i
+        # times (1 - q^shift), truncated to the quotient's degree big*i
+        head = coeffs + [0] * big
+        coeffs = head[:shift] + [x - y for x, y in zip(head[shift:], coeffs)]
+        # over (1 - q^i): a prefix sum along each residue class mod i
+        for r in range(i):
+            coeffs[r::i] = accumulate(coeffs[r::i])
+    return SplittingType.from_pairs((m * a + s * j, c) for j, c in enumerate(coeffs))
 
 
 def _sym_rank(r: int, m: int) -> int:
@@ -191,11 +240,11 @@ def classify_extension(sub_deg: int, quot_deg: int, nonsplit: bool) -> Splitting
     """Splitting type of a rank-2 extension 0 -> O(sub) -> E -> O(quot) -> 0.
 
     The extension group is H^1(O(sub - quot)).  When it vanishes every
-    extension splits, nonsplit request or not.  When the degree gap is
-    exactly -2 the group is one-dimensional and the unique nonsplit middle
-    term is the balanced type {sub+1, quot-1}.  A wider gap leaves several
-    candidate middle terms, so a nonsplit request is refused rather than
-    guessed.
+    extension splits, nonsplit request or not.  A nonsplit middle term is
+    {sub+k, quot-k} for some 1 <= k <= (quot - sub)/2; k = 0 is the split
+    extension.  For a degree gap of -2 or -3 only k = 1 is left, so the
+    middle term is {sub+1, quot-1}.  A wider gap leaves several candidate
+    middle terms, so a nonsplit request is refused rather than guessed.
     """
     split = SplittingType((sub_deg, quot_deg))
     if not nonsplit:
@@ -203,7 +252,7 @@ def classify_extension(sub_deg: int, quot_deg: int, nonsplit: bool) -> Splitting
     gap = sub_deg - quot_deg
     if gap >= -1:  # H^1(O(gap)) = 0: splitting is forced
         return split
-    if gap == -2:
+    if gap >= -3:
         return SplittingType((sub_deg + 1, quot_deg - 1))
     raise AmbiguousExtensionError(
         f"ambiguous splitting type: a nonsplit extension of O({quot_deg}) by "

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,36 @@ def test_split_ambiguous_extension_surfaces_error(capsys):
     assert "ambiguous splitting type" in err
 
 
+def test_split_progression_past_enumeration_bound(capsys):
+    # S^4[-2,0] is the progression -8, -6, ..., 0; its 80th power has
+    # 80 * comb(84, 80) monomial terms, past the enumeration bound, and is
+    # the Gaussian binomial [84 choose 4] in t^2 instead
+    code, out, err = run(capsys, "split", "[-2,0]", "sym:4", "sym:80")
+    assert (code, err) == (0, "")
+    echo, result, numbers = out.splitlines()
+    assert echo == "[-2,0] sym:4 sym:80"
+    assert result.startswith("= [-640 x 1, -638 x 1, -636 x 2, ") and result.endswith(", 0 x 1]")
+    assert result.count(" x ") == 321
+    assert numbers.startswith(f"rank={comb(84, 4)} h0=1 h1=")
+
+
+@pytest.mark.parametrize(
+    "ops, pairs",
+    [(("sym:99999",), 100_000), (("sym:170", "sym:170"), 170 * 170 + 1)],
+    ids=["most_pairs", "most_additions"],
+)
+def test_split_progression_route_at_its_bound(ops, pairs):
+    code, out, err = run_capped("split", "[0,1]", *ops)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].count(" x ") == pairs
+    # one step further is refused before any work, with an empty stdout
+    past = [f"sym:{int(op[4:]) + 1}" for op in ops]
+    code, out, err = run_capped("split", "[0,1]", *past)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: symmetric power of a ") and "refusing" in line
+
+
 def test_split_balanced_sym_past_rank_budget_exits_2():
     # comb(2*10^6, 10^6) alone takes half a minute; the rank is refused first
     code, out, err = run_capped("split", "[0,0]", "sym:1000000", "sym:1000000")
@@ -356,8 +387,7 @@ def test_negative_twist_is_usage_error(capsys):
 def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "r.json"
     code, out, err = run(capsys, "verify", "--json", str(path))
-    assert code == 2
-    assert "overall PASS" in out
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err and not path.exists()
 
@@ -393,6 +423,23 @@ def test_verify_cold_start_loads_verifier():
     assert modules & NEVER_IMPORTED == set()
 
 
+def run_closed_stdout(*argv):
+    """Run the CLI in a child whose stdout is a pipe that nobody reads."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "hirzcoh.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -404,19 +451,16 @@ def test_verify_cold_start_loads_verifier():
 )
 def test_closed_stdout_is_not_a_verdict(argv):
     """A reader that quits early (``| head``) gives neither exit 1 nor a traceback."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # closed before the child starts, so its first write fails
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hirzcoh.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            timeout=60,
-            env=child_env(),
-        )
-    finally:
-        os.close(write_end)
+    proc = run_closed_stdout(*argv)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
     assert cli.EXIT_BROKEN_PIPE not in (0, 1, 2)
     assert proc.stderr == ""
+
+
+def test_json_report_written_when_stdout_is_closed(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    proc = run_closed_stdout("verify", "--json", str(path))
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    code, _, _ = run(capsys, "verify", "--json", str(tmp_path / "ref.json"))
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == (tmp_path / "ref.json").read_text(encoding="utf-8")

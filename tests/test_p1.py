@@ -1,7 +1,7 @@
 """Splitting-type calculus on P^1 and the affine degree forms."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -102,11 +102,89 @@ def test_sym_power_rank(s, m):
 
 
 def test_sym_power_enumeration_refusal():
-    with pytest.raises(ValueError, match="refusing"):
-        SplittingType((0, 1, 2, 3, 4, 5)).sym_power(100)
-    # few monomials, but each sums m degrees: the work is m times the count
+    # 100 * comb(105, 100) monomial terms: not a progression, so refused
+    with pytest.raises(ValueError, match="refusing to enumerate"):
+        SplittingType((0, 1, 2, 3, 4, 6)).sym_power(100)
+    # the progression next to it answers: degrees 0..500, each weight j
+    # mirrored by 500 - j, so the total is 250 per summand
+    prog = SplittingType((0, 1, 2, 3, 4, 5)).sym_power(100)
+    assert (prog.rank, prog.pairs[0][0], prog.pairs[-1][0]) == (comb(105, 5), 0, 500)
+    assert sum(d * r for d, r in prog.pairs) == 250 * comb(105, 5)
+    # few monomials, but each sums m degrees: the work is m times the count;
+    # as a progression it would have 3 000 001 output pairs
     with pytest.raises(ValueError, match="refusing"):
         SplittingType((0, 1)).sym_power(3_000_000)
+
+
+def _is_progression(s):
+    degrees = s.degrees()
+    steps = {b - a for a, b in zip(degrees, degrees[1:])}
+    return len(degrees) >= 2 and len(steps) == 1 and steps.pop() > 0
+
+
+def _largest_sym_exponent(n, cost):
+    """The largest m with comb(n + m, m) <= cost, at most 12."""
+    m = 2
+    while m < 12 and comb(n + m + 1, m + 1) <= cost:
+        m += 1
+    return m
+
+
+@given(
+    st.integers(-6, 6),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.sampled_from(["twist", "frob"]), st.integers(-9, 9)), max_size=3),
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2, _largest_sym_exponent(n, 3000)))
+    ),
+)
+@example(-2, 2, [], (4, 12))  # S^m(S^4[-2,0]), the split control's tower
+@example(0, 1, [("frob", 3), ("twist", -5)], (12, 3))
+@example(3, 4, [], (1, 12))
+def test_progression_route_matches_enumeration(a, gap, images, n_m):
+    # a rank-2 leaf, its twist and Frobenius images, then S^n of it: every
+    # step keeps a multiplicity-one arithmetic progression
+    s = SplittingType((a, a + gap))
+    for name, value in images:
+        s = s.twist(value) if name == "twist" else s.frobenius_pullback(abs(value) + 2)
+    n, m = n_m
+    s_n = s.sym_power(n)
+    assert s_n == _sym_oracle(s.degrees(), n) and _is_progression(s_n)
+    assert s_n.sym_power(m) == _sym_oracle(s_n.degrees(), m)
+
+
+def test_progression_route_refuses_nothing_enumeration_accepts():
+    # for n >= 1, the largest m >= 2 with m * comb(n + m, m) <= 5 * 10^6 (the
+    # enumeration bound; m * comb grows with n and m, so that m is the edge)
+    limit, edge, n = 5_000_000, [], 1
+    while 2 * comb(n + 2, 2) <= limit:
+        m = 2
+        while (m + 1) * comb(n + m + 1, m + 1) <= limit:
+            m += 1
+        edge.append((n, m))
+        n += 1
+    assert len(edge) == 2234
+    # the route's bound: since comb(n + m, m) >= n*m + 1, both of its costs
+    # are at most what enumeration would have spent
+    for n, m in edge:
+        assert min(n, m) * (n * m + 1) <= limit and n * m + 1 <= 100_000
+    # and the code answers there: all n up to 40, then a sample to the last
+    for n, m in edge[:40] + edge[40::150] + edge[-1:]:
+        s = SplittingType(range(-n, n + 1, 2)).sym_power(m)
+        assert len(s.pairs) == n * m + 1 and s.rank == comb(n + m, m)
+        assert (s.pairs[0][0], s.pairs[-1][0]) == (-n * m, n * m)
+
+
+def test_progression_route_bound():
+    # the largest output: 10^5 pairs; the most additions: 170 * (170^2 + 1)
+    assert len(SplittingType((0, 1)).sym_power(99_999).pairs) == 100_000
+    with pytest.raises(ValueError, match="has 100001 degrees .* refusing more than 100000"):
+        SplittingType((0, 1)).sym_power(100_000)
+    with pytest.raises(ValueError, match="172-term progression .* 171 additions each"):
+        SplittingType(range(172)).sym_power(171)
+    # refused from (n, m) alone, before a list of 10^100 + 1 coefficients
+    with pytest.raises(ValueError, match="refusing"):
+        SplittingType((0, 1)).sym_power(10**100)
 
 
 def test_sym_power_rank_budget():
@@ -137,12 +215,28 @@ def test_is_nef():
 
 def test_classify_extension():
     assert classify_extension(-2, 0, True) == SplittingType((-1, -1))
+    assert classify_extension(-3, 0, True) == SplittingType((-2, -1))
     assert classify_extension(1, 0, True) == SplittingType((1, 0))
     assert classify_extension(-2, 0, False) == SplittingType((-2, 0))
+    assert classify_extension(-3, 0, False) == SplittingType((-3, 0))
     with pytest.raises(AmbiguousExtensionError, match="ambiguous splitting type"):
-        classify_extension(-3, 0, True)
+        classify_extension(-4, 0, True)
     with pytest.raises(AmbiguousExtensionError):
         classify_extension(-5, 2, True)
+
+
+def test_classify_extension_answers_iff_one_nonsplit_candidate():
+    # a nonsplit middle term is {s+k, q-k} with 1 <= k <= (q-s)/2
+    for s, q in product(range(-6, 7), repeat=2):
+        candidates = [SplittingType((s + k, q - k)) for k in range(1, (q - s) // 2 + 1)]
+        assert classify_extension(s, q, False) == SplittingType((s, q))
+        if s - q >= -1:  # Ext^1 vanishes: every extension splits
+            assert candidates == [] and classify_extension(s, q, True) == SplittingType((s, q))
+        elif len(candidates) == 1:
+            assert classify_extension(s, q, True) == candidates[0], (s, q)
+        else:
+            with pytest.raises(AmbiguousExtensionError, match=f"degree gap {s - q}"):
+                classify_extension(s, q, True)
 
 
 def test_nonsplitness_changes_sections():

@@ -48,7 +48,9 @@ def test_traced_workload_smoke(workload):
     if workload == "replay_sweep":
         assert metrics["verifier.evaluations"]["value"] > 0
     elif workload == "split_calc":
-        # every leaf is unbalanced, so every symmetric power enumerates
+        # every leaf is unbalanced, and the tracer counts an unbalanced input
+        # as enumerated by its shape, though progressions (every rank-2 leaf
+        # and its images) take the Gaussian binomial instead
         calls = metrics["p1.sym_power.calls"]["value"]
         assert metrics["p1.sym_power.enumerated_calls"]["value"] == calls > 0
     else:

@@ -69,8 +69,18 @@ def test_restriction_certificate_split_control():
     assert rec.details["E_restricted_to_C"] == "[-2,0]"
 
 
-def test_restriction_certificate_ambiguous_for_steeper_twist():
+def test_restriction_certificate_determined_at_gap_minus_3():
+    # on F_3 the degree gap on C is -3: the only nonsplit type is [-2,-1]
     ctx = SurfaceContext(3)
+    rec = nonsplit_restriction_certificate(ctx, build_extension(ctx))
+    assert rec.passed
+    assert rec.details["h1_O_C_of_C"] == 2
+    assert rec.details["E_restricted_to_C"] == "[-2,-1]"
+    assert rec.details["E_restricted_to_fiber"] == "[0,1]"
+
+
+def test_restriction_certificate_ambiguous_for_steeper_twist():
+    ctx = SurfaceContext(4)
     rec = nonsplit_restriction_certificate(ctx, build_extension(ctx))
     assert not rec.passed
     assert "ambiguous" in rec.witness["error"]
@@ -534,14 +544,22 @@ def test_almost_nef_evidence():
     assert rec.details["label"] == "evidence, not proof"
 
 
+def test_almost_nef_evidence_at_gap_minus_3():
+    rec = almost_nef_evidence(SurfaceContext(3))
+    assert rec.passed
+    rows = {row["curve"]: row for row in rec.details["restrictions"]}
+    assert rows["C"]["type"] == "[-2,-1]" and not rows["C"]["nef"]
+    assert rows["C (split control)"]["type"] == "[-3,0]"
+
+
 def test_almost_nef_evidence_ambiguous_restriction():
-    # on F_3 the degree gap on C is -3, so the nonsplit restriction is not
-    # determined; the replay stops at "restriction" and no golden reaches here
+    # on F_4 the degree gap on C is -4, which leaves two nonsplit candidates;
+    # the replay stops at "restriction" and no golden reaches here
     error = (
-        "ambiguous splitting type: a nonsplit extension of O(0) by O(-3) is "
-        "not determined by nonsplitness alone (degree gap -3)"
+        "ambiguous splitting type: a nonsplit extension of O(0) by O(-4) is "
+        "not determined by nonsplitness alone (degree gap -4)"
     )
-    assert almost_nef_evidence(SurfaceContext(3)).to_json_dict() == {
+    assert almost_nef_evidence(SurfaceContext(4)).to_json_dict() == {
         "id": "almost_nef",
         "title": "nefness evidence by restriction",
         "mode": "exact",
@@ -611,10 +629,21 @@ def test_full_replay_fails_at_build_for_small_twist():
 
 
 def test_full_replay_fails_at_restriction_for_steep_twist():
-    rep = run_full_replay(SurfaceContext(3), 0, "symbolic")
+    rep = run_full_replay(SurfaceContext(4), 0, "symbolic")
     assert rep.overall == "FAIL"
     assert rep.first_failure().claim_id == "restriction"
     assert rep.record("claim3") is None  # dependent certificates not attempted
+
+
+def test_full_replay_on_f3_fails_at_the_ampleness_premise():
+    # the restriction is determined on F_3, but H = C + 3F is not ample there
+    for characteristic, first in ((0, "claim3"), (3, "charp")):
+        rep = run_full_replay(SurfaceContext(3), characteristic, "symbolic")
+        assert rep.record("restriction").passed
+        assert rep.record("restriction").details["E_restricted_to_C"] == "[-2,-1]"
+        assert (rep.overall, rep.conclusion) == ("FAIL", "not certified")
+        assert rep.first_failure().claim_id == first
+        assert rep.first_failure().witness == {"error": "polarization H ample on F_e failed"}
 
 
 def test_gate_integrity():
