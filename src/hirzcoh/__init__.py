@@ -1,5 +1,9 @@
 """Exact line-bundle cohomology and positivity cones on Hirzebruch surfaces.
 
+Every name is imported from its submodule (``from hirzcoh.p1 import
+SplittingType``); the package itself exports none, so ``import hirzcoh``
+loads no submodule.
+
 Submodules
 ----------
 hirzebruch
@@ -17,44 +21,3 @@ cli
 kernels
     The lattice-enumeration kernel behind the oracle.
 """
-
-from .hirzebruch import (
-    C,
-    F,
-    ZERO,
-    ClassParseError,
-    DivisorClass,
-    SurfaceContext,
-    format_class,
-    parse_class,
-)
-from .p1 import (
-    AmbiguousExtensionError,
-    DegreeForm,
-    SplittingParseError,
-    SplittingType,
-    classify_extension,
-    format_splitting,
-    parse_splitting,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "C",
-    "F",
-    "ZERO",
-    "ClassParseError",
-    "DivisorClass",
-    "SurfaceContext",
-    "format_class",
-    "parse_class",
-    "AmbiguousExtensionError",
-    "DegreeForm",
-    "SplittingParseError",
-    "SplittingType",
-    "classify_extension",
-    "format_splitting",
-    "parse_splitting",
-    "__version__",
-]

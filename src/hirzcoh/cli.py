@@ -1,9 +1,14 @@
 """Command-line front end: cohomology calculators and the certificate replay.
 
-Exit codes: 0 = success / overall PASS, 1 = a certificate failed,
+Exit codes: 0 = success / overall PASS, 1 = only a ``verify`` FAIL verdict,
 2 = usage error (bad grammar, bad flags, refused requests) or an
-unwritable ``--json`` path, 141 = stdout was closed before all output was
-written (a reader such as ``head`` quit early).
+unwritable ``--json`` path, always with an empty stdout and one ``error:``
+line on stderr, 141 = stdout was closed before all output was written (a
+reader such as ``head`` quit early).
+
+Each ``_cmd_*`` returns its exit code and every line of its output and
+prints nothing; ``main`` alone writes stdout, after the command has
+finished, so a refusal at any step leaves stdout empty.
 
 Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
@@ -71,7 +76,11 @@ def _cone_line(ctx: SurfaceContext, d: DivisorClass) -> str:
     return line
 
 
-def _cmd_coh(args: argparse.Namespace) -> int:
+def _class_line(ctx: SurfaceContext, d: DivisorClass) -> str:
+    return f"class: {format_class(d)} = (a={d.a}, b={d.b}) on F_{ctx.e}"
+
+
+def _cmd_coh(args: argparse.Namespace) -> tuple[int, list[str]]:
     ctx = SurfaceContext(args.e)
     d = parse_class(args.klass)
     values = [
@@ -80,31 +89,25 @@ def _cmd_coh(args: argparse.Namespace) -> int:
         f"h2={cohomology.h2(ctx, d)}",
         f"chi={cohomology.chi_rr(ctx, d)}",
     ]
-    oracle_note = None
+    notes = []
     try:
         values.append(f"oracle_h0={cohomology.brute_force_h0(ctx, d)}")
     except ValueError as exc:
-        oracle_note = f"note: oracle column skipped: {exc}"
-    print(f"class: {format_class(d)} = (a={d.a}, b={d.b}) on F_{ctx.e}")
-    print(" ".join(values))
-    print(_cone_line(ctx, d))
-    if oracle_note:
-        print(oracle_note)
+        notes.append(f"note: oracle column skipped: {exc}")
     if args.char is not None:
-        print(_CHAR_NOTE)
-    return 0
+        notes.append(_CHAR_NOTE)
+    return 0, [_class_line(ctx, d), " ".join(values), _cone_line(ctx, d), *notes]
 
 
-def _cmd_cone(args: argparse.Namespace) -> int:
+def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
     ctx = SurfaceContext(args.e)
     d = parse_class(args.klass)
-    print(f"class: {format_class(d)} = (a={d.a}, b={d.b}) on F_{ctx.e}")
-    print(_cone_line(ctx, d))
-    print(
+    return 0, [
+        _class_line(ctx, d),
+        _cone_line(ctx, d),
         f"pairings: D.C={ctx.intersect(d, DivisorClass(1, 0))} "
-        f"D.F={ctx.intersect(d, DivisorClass(0, 1))}"
-    )
-    return 0
+        f"D.F={ctx.intersect(d, DivisorClass(0, 1))}",
+    ]
 
 
 def _parse_split_input(text: str) -> SplittingType:
@@ -142,18 +145,15 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
     raise ValueError(f"unknown operation {name!r}: expected sym, twist or frob")
 
 
-def _cmd_split(args: argparse.Namespace) -> int:
+def _cmd_split(args: argparse.Namespace) -> tuple[int, list[str]]:
     st = _parse_split_input(args.bundle)
     for token in args.ops:
         st = _apply_op(st, token)
-    # format every line before printing any, so a refusal leaves stdout empty
-    lines = [
+    return 0, [
         " ".join([args.bundle, *args.ops]).strip(),
         f"= {format_splitting(st)}",
         f"rank={st.rank} h0={st.h0()} h1={st.h1()}",
     ]
-    print("\n".join(lines))
-    return 0
 
 
 def render_report(report: VerificationReport, timestamp: str) -> str:
@@ -191,7 +191,7 @@ def render_report(report: VerificationReport, timestamp: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     import json
     from datetime import datetime, timezone
     from pathlib import Path
@@ -200,18 +200,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     ctx = SurfaceContext(args.e)
     report = run_full_replay(ctx, args.char, args.mode, args.beta_max)
-    # the file first: an unwritable path exits 2 with an empty stdout, and
-    # a reader that quits early cannot stop the file from being written
+    # the file is written before main prints: a reader that quits early
+    # cannot stop it from being written
     if args.json:
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
         try:
             Path(args.json).write_text(payload, encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot write JSON report: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot write JSON report: {exc}") from None
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    print(render_report(report, stamp))
-    return 0 if report.overall == "PASS" else 1
+    return (0 if report.overall == "PASS" else 1), [render_report(report, stamp)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,7 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         args = parser.parse_args(["verify"])
     try:
-        code = args.run(args)
+        # every line is built before any is written, so a refusal at any
+        # step exits 2 with an empty stdout
+        code, lines = args.run(args)
+        print("\n".join(lines))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except ValueError as exc:  # the parse errors of every grammar subclass ValueError

@@ -1,5 +1,7 @@
 """Command-line golden outputs, exit codes, and report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import resource
@@ -9,6 +11,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzcoh import cli
 
@@ -48,15 +52,16 @@ def run_capped(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def imported_modules(*argv):
+def imported_modules(*argv, run_as=("-m", "hirzcoh.cli")):
     """Exit code and the modules a cold ``python -m hirzcoh.cli`` child imports.
 
     Read from ``-X importtime``, which names every module on its first
     import.  Modules that interpreter start-up (``site``) loads are left
-    out: the CLI does not choose them.
+    out: the CLI does not choose them.  ``run_as`` replaces ``-m
+    hirzcoh.cli``, as ``("-c", "import hirzcoh")`` does.
     """
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "hirzcoh.cli", *argv],
+        [sys.executable, "-X", "importtime", *run_as, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -191,6 +196,14 @@ def test_cone(capsys):
         "psef=yes big=no nef=no ample=no\n"
         "pairings: D.C=-2 D.F=1\n"
     )
+
+
+def test_cone_past_the_digit_limit_leaves_stdout_empty(capsys):
+    # the class and cone lines fit; D.C = -10 * (10^4300 - 1) has 4301 digits
+    code, out, err = run(capsys, "cone", "-e", "10", "--", "9" * 4300 + "C")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "integer string conversion" in line
 
 
 def test_split_sym(capsys):
@@ -416,6 +429,13 @@ def test_calculators_cold_start_without_verifier(argv):
     assert modules & (VERIFY_ONLY_MODULES | NEVER_IMPORTED) == set()
 
 
+def test_package_import_loads_no_submodule():
+    code, modules = imported_modules(run_as=("-c", "import hirzcoh"))
+    assert code == 0
+    assert "hirzcoh" in modules
+    assert {name for name in modules if name.startswith("hirzcoh.")} == set()
+
+
 def test_verify_cold_start_loads_verifier():
     code, modules = imported_modules("verify")
     assert code == 0
@@ -445,9 +465,10 @@ def run_closed_stdout(*argv):
     [
         ("verify", "--mode", "sweep", "--beta-max", "3"),
         ("split", "[0,1]", "sym:2000"),
+        ("split", "[0,1]", "sym:99999"),
         ("coh", "C"),
     ],
-    ids=["verify", "split", "coh"],
+    ids=["verify", "split", "split_sym_bound", "coh"],
 )
 def test_closed_stdout_is_not_a_verdict(argv):
     """A reader that quits early (``| head``) gives neither exit 1 nor a traceback."""
@@ -464,3 +485,129 @@ def test_json_report_written_when_stdout_is_closed(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--json", str(tmp_path / "ref.json"))
     assert code == 0
     assert path.read_text(encoding="utf-8") == (tmp_path / "ref.json").read_text(encoding="utf-8")
+
+
+# -- the exit-status contract on inputs drawn from each command's grammar ----
+
+
+def assert_exit_contract(argv, code, out, err):
+    """0 or PASS, 1 only for a ``verify`` FAIL, 2 with an empty stdout and one error line."""
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert argv[0] == "verify" and "\noverall FAIL at " in out
+    if code == 2:
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert out == "" and len(errors) == 1 and err.endswith(errors[0] + "\n")
+    else:
+        assert err == ""
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of ``cli.main``; argparse's exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# n nines, the largest n-digit number, for n from 1 to 5000 with the edges
+# of Python's 4300-digit limit on printing an integer drawn more often: a
+# product of two such numbers is the first to pass it
+digit_counts = st.one_of(st.sampled_from([4299, 4300, 4301]), st.integers(1, 5000))
+big_numbers = st.builds(lambda sign, n: sign + "9" * n, st.sampled_from(["", "-"]), digit_counts)
+numbers = st.one_of(st.integers(-30, 30).map(str), big_numbers)
+
+
+@st.composite
+def classes(draw):
+    """``[n]C±[m]F``, each term optional and in either order; a repeated term is refused."""
+    text = ""
+    for gen in draw(st.sampled_from(["C", "F", "CF", "FC", "", "CC"])):
+        coeff = draw(st.one_of(st.just(""), numbers))
+        text += ("+" if text and not coeff.startswith("-") else "") + coeff + gen
+    return text
+
+
+def options(**strategies):
+    """Each option absent or present once with a drawn value."""
+    drawn = [
+        st.one_of(st.just([]), values.map(lambda v, flag=flag: [flag, v]))
+        for flag, values in strategies.items()
+    ]
+    return st.tuples(*drawn).map(lambda parts: [word for part in parts for word in part])
+
+
+characteristics = st.sampled_from(
+    ["0", "2", "3", "5", "7", "4", "-3", "x", "1000000000000000003", "318665857834031151167461"]
+)
+twists = st.one_of(st.integers(0, 12).map(str), numbers)
+
+coh_argv = st.tuples(options(**{"-e": twists, "--char": characteristics}), classes()).map(
+    lambda t: ["coh", *t[0], "--", t[1]]
+)
+cone_argv = st.tuples(options(**{"-e": twists}), classes()).map(
+    lambda t: ["cone", *t[0], "--", t[1]]
+)
+
+degrees = st.one_of(st.integers(-6, 6).map(str), big_numbers)
+bundles = st.one_of(
+    st.lists(degrees, max_size=4).map(lambda ds: "[" + ",".join(ds) + "]"),
+    st.builds(
+        lambda sub, quot, kind: f"ext({sub},{quot},{kind})",
+        degrees,
+        degrees,
+        st.sampled_from(["split", "nonsplit", "other"]),
+    ),
+)
+# symmetric powers stay small enough for each example to answer in well
+# under a second, or large enough to be refused before any work
+sym_exponents = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["1000", "100000", "1000000", "1" + "0" * 30]),
+    big_numbers,
+)
+ops = st.one_of(
+    sym_exponents.map("sym:".__add__),
+    numbers.map("twist:".__add__),
+    st.one_of(st.integers(-1, 5).map(str), numbers).map("frob:".__add__),
+    st.sampled_from(["sym", "cube:3", "twist:x"]),
+)
+split_argv = st.tuples(bundles, st.lists(ops, max_size=3)).map(
+    lambda t: ["split", "--", t[0], *t[1]]
+)
+
+replay_modes = st.one_of(
+    st.just([]),
+    st.just(["--mode", "symbolic"]),
+    st.integers(-2, 30).map(lambda beta: ["--mode", "sweep", "--beta-max", str(beta)]),
+    options(**{"--mode": st.sampled_from(["symbolic", "sweep", "exact"]), "--beta-max": numbers}),
+)
+verify_argv = st.tuples(options(**{"-e": twists, "--char": characteristics}), replay_modes).map(
+    lambda t: ["verify", *t[0], *t[1]]
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(coh_argv, cone_argv, split_argv, verify_argv))
+def test_every_command_keeps_the_exit_status_contract(argv):
+    assert_exit_contract(argv, *run_in_process(argv))
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cone", "-e", "10", "--", NINES + "C"),
+        ("split", "[0,1]", "sym:99999"),
+        # 5 * (10^4300 - 1) has 4301 digits
+        ("split", "[5]", "frob:" + NINES),
+    ],
+    ids=["cone_digits", "split_sym_bound", "split_frob_digits"],
+)
+def test_exit_contract_in_a_capped_child(argv):
+    assert_exit_contract(argv, *run_capped(*argv))
