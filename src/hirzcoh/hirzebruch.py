@@ -15,8 +15,7 @@ The positivity cones of F_e are rational polyhedral in this basis:
     psef:   a >= 0 and b >= 0       (effective cone, spanned by C and F)
     big:    a > 0  and b > 0        (interior of the effective cone)
 
-Everything here is pure integer arithmetic on immutable values; every
-function is safe to call from any thread.
+Everything here is pure integer arithmetic on immutable values.
 """
 
 from __future__ import annotations
@@ -28,37 +27,51 @@ class ClassParseError(ValueError):
     """A divisor-class string does not match the ``[n]C±[m]F`` grammar."""
 
 
-# The value classes are plain __slots__ classes, not dataclasses, so that
-# importing them does not load dataclasses (and inspect) at every CLI start.
-# __init__ sets the slots through object.__setattr__; __reduce__ rebuilds an
-# instance through __init__, since copy and pickle would set slots directly.
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class Value:
+    """Base of the immutable value classes: equal, hashed and shown by slots.
 
+    A plain ``__slots__`` class, not a tuple or a dataclass, so importing the
+    value classes does not load dataclasses (and inspect) at every CLI start.
+    Each subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; ``__reduce__`` rebuilds an
+    instance through ``__init__``, since copy and pickle would set the slots
+    directly.
+    """
 
-class DivisorClass:
-    """An integral class ``a*C + b*F`` in Pic(F_e)."""
+    __slots__ = ()
 
-    __slots__ = ("a", "b")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, a: int, b: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash(self._fields())
 
     def __repr__(self) -> str:
-        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return DivisorClass, (self.a, self.b)
+        return type(self), self._fields()
+
+
+class DivisorClass(Value):
+    """An integral class ``a*C + b*F`` in Pic(F_e)."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -84,30 +97,15 @@ F = DivisorClass(0, 1)
 ZERO = DivisorClass(0, 0)
 
 
-class SurfaceContext:
+class SurfaceContext(Value):
     """The Hirzebruch surface F_e: the twist e plus everything derived from it."""
 
     __slots__ = ("e",)
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, e: int = 2) -> None:
         if e < 0:
             raise ValueError(f"Hirzebruch twist must be nonnegative, got e={e}")
         object.__setattr__(self, "e", e)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.e == other.e
-
-    def __hash__(self) -> int:
-        return hash((self.e,))
-
-    def __repr__(self) -> str:
-        return f"SurfaceContext(e={self.e!r})"
-
-    def __reduce__(self):
-        return SurfaceContext, (self.e,)
 
     @property
     def canonical_class(self) -> DivisorClass:

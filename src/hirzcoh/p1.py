@@ -29,6 +29,8 @@ from itertools import accumulate, combinations_with_replacement
 from math import comb, e, log2
 from typing import Iterable
 
+from .hirzebruch import Value
+
 # Enumerating the m-th symmetric power sums m degrees for each monomial;
 # refuse past this many terms (m times the monomial count).  Balanced
 # inputs and progressions never enumerate; a progression's Gaussian
@@ -54,7 +56,7 @@ class SplittingParseError(ValueError):
     """A splitting-type string does not match the ``[d1,d2,...]`` grammar."""
 
 
-class SplittingType:
+class SplittingType(Value):
     """A finite multiset of integers: the degrees of a direct sum of O(d_i).
 
     The empty multiset is the zero bundle.  Instances are immutable and
@@ -98,16 +100,13 @@ class SplittingType:
             out.extend([d] * r)
         return tuple(out)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SplittingType) and self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash(self._pairs)
-
     def __repr__(self) -> str:
         if self.rank <= 16:
             return f"SplittingType({list(self.degrees())})"
         return f"SplittingType.from_pairs({list(self._pairs)})"
+
+    def __reduce__(self):
+        return SplittingType.from_pairs, (self._pairs,)
 
     # -- cohomology and positivity -------------------------------------
 
@@ -260,13 +259,7 @@ def classify_extension(sub_deg: int, quot_deg: int, nonsplit: bool) -> Splitting
     )
 
 
-# Immutable like hirzebruch's value classes, and for the same reason not a
-# dataclass; see the comment on hirzebruch._frozen.
-def _frozen(self, name, value=None):
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-
-class DegreeForm:
+class DegreeForm(Value):
     """Affine integer form ``c0 + cb*b + cl*l`` over parameters b >= 1, l >= 0.
 
     The parameter region is fixed: b (written beta in prose) ranges over
@@ -274,26 +267,11 @@ class DegreeForm:
     """
 
     __slots__ = ("c0", "cb", "cl")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, c0: int = 0, cb: int = 0, cl: int = 0) -> None:
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "cb", cb)
         object.__setattr__(self, "cl", cl)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.c0 == other.c0 and self.cb == other.cb and self.cl == other.cl
-
-    def __hash__(self) -> int:
-        return hash((self.c0, self.cb, self.cl))
-
-    def __repr__(self) -> str:
-        return f"DegreeForm(c0={self.c0!r}, cb={self.cb!r}, cl={self.cl!r})"
-
-    def __reduce__(self):
-        return DegreeForm, (self.c0, self.cb, self.cl)
 
     def __call__(self, beta: int, ell: int = 0) -> int:
         return self.c0 + self.cb * beta + self.cl * ell

@@ -29,7 +29,7 @@ corrupted inputs (the split direct sum, an inflated twist) must make the
 affected certificate FAIL; the test suite checks that they do.
 
 Every record is a pure computation; the orchestrator merges them in a
-fixed claim order, so concurrent evaluation would be deterministic.
+fixed claim order.
 """
 
 from __future__ import annotations
@@ -781,12 +781,6 @@ class VerificationReport(NamedTuple):
     @property
     def conclusion(self) -> str:
         return "not pseudo-effective" if self.overall == PASS else "not certified"
-
-    def record(self, claim_id: str) -> ClaimRecord | None:
-        for rec in self.records:
-            if rec.claim_id == claim_id:
-                return rec
-        return None
 
     def claims(self) -> list[ClaimRecord]:
         return [r for r in self.records if r.claim_id not in _SETUP_IDS]

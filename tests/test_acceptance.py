@@ -27,6 +27,11 @@ from hirzcoh.verifier import (
 CTX = SurfaceContext(2)
 
 
+def _record(rep, claim_id):
+    """The report's record with this claim id, or None."""
+    return next((r for r in rep.records if r.claim_id == claim_id), None)
+
+
 def _verdict(n, ok, text):
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {n}: {text}"
@@ -70,11 +75,11 @@ def test_criterion_3_char0_replay():
     finally:
         pass
     forms_ok = (
-        symbolic.record("claim3").degree_form == DegreeForm(0, -1, -2)
-        and symbolic.record("claim4").degree_form == DegreeForm(0, -1, 0)
+        _record(symbolic, "claim3").degree_form == DegreeForm(0, -1, -2)
+        and _record(symbolic, "claim4").degree_form == DegreeForm(0, -1, 0)
     )
     agree = all(
-        sweep.record(r.claim_id) is not None and sweep.record(r.claim_id).status == r.status
+        _record(sweep, r.claim_id) is not None and _record(sweep, r.claim_id).status == r.status
         for r in symbolic.records
     )
     ok = (
@@ -101,7 +106,7 @@ def test_criterion_4_charp_replay():
     ok = True
     for p, (exponent, boundary) in expected.items():
         rep = run_full_replay(CTX, p, "symbolic")
-        rec = rep.record("charp")
+        rec = _record(rep, "charp")
         rows[p] = (rec.details["frobenius_exponent"], rec.details["boundary_value"])
         ok = (
             ok

@@ -18,7 +18,7 @@ from hirzcoh.hirzebruch import (
     format_class,
     parse_class,
 )
-from hirzcoh.p1 import DegreeForm
+from hirzcoh.p1 import DegreeForm, SplittingType
 
 H = DivisorClass(1, 3)
 
@@ -77,6 +77,13 @@ VALUE_CASES = {
         DegreeForm(0, 1, 1),
         ("c0", "cb", "cl"),
         "DegreeForm(c0=0, cb=1, cl=0)",
+    ),
+    "SplittingType": (
+        SplittingType((-1, -1)),
+        SplittingType.from_pairs([(-1, 2)]),
+        SplittingType((-1, 0)),
+        ("_pairs",),
+        "SplittingType([-1, -1])",
     ),
 }
 

@@ -31,6 +31,11 @@ from hirzcoh.verifier import (
 CTX2 = SurfaceContext(2)
 
 
+def _record(rep, claim_id):
+    """The report's record with this claim id, or None."""
+    return next((r for r in rep.records if r.claim_id == claim_id), None)
+
+
 # -- extension datum ---------------------------------------------------------
 
 
@@ -609,8 +614,8 @@ def test_full_replay_char0_symbolic():
 def test_full_replay_char_p():
     rep = run_full_replay(CTX2, 7, "symbolic")
     assert rep.overall == "PASS"
-    assert rep.record("charp").details["frobenius_exponent"] == 1
-    assert rep.record("claim3") is None
+    assert _record(rep, "charp").details["frobenius_exponent"] == 1
+    assert _record(rep, "claim3") is None
     assert any("characteristic > 0" in note for note in rep.notes)
     assert [r.claim_id for r in rep.records] == [
         "extension",
@@ -632,15 +637,15 @@ def test_full_replay_fails_at_restriction_for_steep_twist():
     rep = run_full_replay(SurfaceContext(4), 0, "symbolic")
     assert rep.overall == "FAIL"
     assert rep.first_failure().claim_id == "restriction"
-    assert rep.record("claim3") is None  # dependent certificates not attempted
+    assert _record(rep, "claim3") is None  # dependent certificates not attempted
 
 
 def test_full_replay_on_f3_fails_at_the_ampleness_premise():
     # the restriction is determined on F_3, but H = C + 3F is not ample there
     for characteristic, first in ((0, "claim3"), (3, "charp")):
         rep = run_full_replay(SurfaceContext(3), characteristic, "symbolic")
-        assert rep.record("restriction").passed
-        assert rep.record("restriction").details["E_restricted_to_C"] == "[-2,-1]"
+        assert _record(rep, "restriction").passed
+        assert _record(rep, "restriction").details["E_restricted_to_C"] == "[-2,-1]"
         assert (rep.overall, rep.conclusion) == ("FAIL", "not certified")
         assert rep.first_failure().claim_id == first
         assert rep.first_failure().witness == {"error": "polarization H ample on F_e failed"}
@@ -679,10 +684,10 @@ def test_no_conclusion_without_ample_polarization(e):
 def test_report_verdict_follows_records():
     rep = run_full_replay(CTX2, 0, "symbolic")
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
-    rep.record("remark_t").status = "FAIL"
+    _record(rep, "remark_t").status = "FAIL"
     assert (rep.overall, rep.conclusion) == ("FAIL", "not certified")
     assert rep.first_failure().claim_id == "remark_t"
-    rep.record("remark_t").status = "PASS"
+    _record(rep, "remark_t").status = "PASS"
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
 
 
@@ -730,9 +735,9 @@ def test_symbolic_pass_implies_sweep_pass():
     sweep = run_full_replay(CTX2, 0, "sweep", beta_max=50)
     assert symbolic.overall == sweep.overall == "PASS"
     for rec in symbolic.records:
-        other = sweep.record(rec.claim_id)
+        other = _record(sweep, rec.claim_id)
         assert other is not None and other.status == rec.status
-    assert sweep.record("claim3").details["evaluations"] == sum(
+    assert _record(sweep, "claim3").details["evaluations"] == sum(
         5 * b + 1 for b in range(1, 51)
     )
 
