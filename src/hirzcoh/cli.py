@@ -15,9 +15,11 @@ timestamped header line of ``verify`` (lines starting with ``#`` are meant
 to be excluded from golden comparisons).  JSON reports carry no timestamp
 at all.
 
-Only ``verify`` imports the verifier, ``json``, ``datetime`` and
-``pathlib``: ``coh``, ``cone`` and ``split`` are mostly interpreter start
-and import, so they load only the calculators they use.
+Only ``verify`` imports the verifier: ``coh``, ``cone`` and ``split`` are
+mostly interpreter start and import, so they load only the calculators
+they use.  ``verify`` itself loads ``json`` only for a ``--json`` report
+or a FAIL witness, ``pathlib`` only for a ``--json`` report, and never
+``datetime``.
 """
 
 from __future__ import annotations
@@ -157,8 +159,6 @@ def _cmd_split(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def render_report(report: VerificationReport, timestamp: str) -> str:
-    import json
-
     from .verifier import H
 
     lines = [f"# hirzcoh verify - generated {timestamp}"]
@@ -183,6 +183,8 @@ def render_report(report: VerificationReport, timestamp: str) -> str:
             "almost-nef evidence recorded"
         )
     else:
+        import json
+
         first = report.first_failure()
         lines.append(f"overall FAIL at {first.claim_id}; witness: {json.dumps(first.witness)}")
     lines.append(f"conclusion: {report.conclusion}")
@@ -192,9 +194,7 @@ def render_report(report: VerificationReport, timestamp: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
-    import json
-    from datetime import datetime, timezone
-    from pathlib import Path
+    import time
 
     from .verifier import run_full_replay
 
@@ -203,12 +203,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     # the file is written before main prints: a reader that quits early
     # cannot stop it from being written
     if args.json:
+        import json
+        from pathlib import Path
+
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
         try:
             Path(args.json).write_text(payload, encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write JSON report: {exc}") from None
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return (0 if report.overall == "PASS" else 1), [render_report(report, stamp)]
 
 

@@ -119,16 +119,33 @@ class SplittingType(Value):
 
         At a twist t that is the sum of r*(d + t + 1) over the pairs (d, r)
         with d + t >= 0; no twisted type is built.  Suffix sums R[k] of r and
-        D[k] of r*d over the sorted pairs are taken once, so each point costs
-        one bisection for the first pair k with d >= -t, and reads
-        D[k] + (t + 1)*R[k].
+        D[k] of r*d over the sorted pairs are taken once; with k the first
+        pair with d >= -t, h^0 is D[k] + (t + 1)*R[k].  Along the row k is
+        monotone in l, so the row splits into at most one run per pair plus
+        one.  Each run costs one bisection for k and one floor division for
+        where the neighbouring pair's d + t changes sign; inside it h^0 is
+        linear in l with step slope*R[k], so the run is read off as one
+        arithmetic range.
         """
         pairs = self._pairs
         degrees = [d for d, _ in pairs]
         ranks = [*accumulate((r for _, r in reversed(pairs)), initial=0)][::-1]
         weights = [*accumulate((r * d for d, r in reversed(pairs)), initial=0)][::-1]
-        twists = range(twist, twist + slope * (n + 1), slope) if slope else [twist] * (n + 1)
-        return [weights[k] + (t + 1) * ranks[k] for t in twists for k in [bisect_left(degrees, -t)]]
+        row, ell = [], 0
+        while ell <= n:
+            t = twist + slope * ell
+            k, end = bisect_left(degrees, -t), n
+            # as t rises k falls, and the run ends before degrees[k-1] + t
+            # reaches 0; as t falls k rises, and it ends at the last l with
+            # degrees[k] + t >= 0
+            if slope > 0 and k:
+                end = min(n, (-degrees[k - 1] - 1 - twist) // slope)
+            elif slope < 0 and k < len(degrees):
+                end = min(n, (twist + degrees[k]) // -slope)
+            v0, step, count = weights[k] + (t + 1) * ranks[k], slope * ranks[k], end - ell + 1
+            row += range(v0, v0 + step * count, step) if step else [v0] * count
+            ell = end + 1
+        return row
 
     def h1(self) -> int:
         """dim H^1 = sum of (-d_i - 1) over summands with d_i <= -2."""

@@ -24,7 +24,8 @@ negative is a witness, balanced or not.  Sweep mode replays the same
 h^0 computations numerically on a finite grid: it builds the b-independent
 base of each tower once, the tower once per b as a splitting type, and
 since l enters only through the twist on top, it reads h^0 at every l of
-that b off one pass of suffix sums over the pairs.  Deliberately
+that b as arithmetic runs, one per stretch of l where the same pairs have
+sections.  Deliberately
 corrupted inputs (the split direct sum, an inflated twist) must make the
 affected certificate FAIL; the test suite checks that they do.
 
@@ -361,9 +362,9 @@ def _sweep_vanishing(
 
     The tower's base is built once and the tower once per b as a splitting
     type; ``h0_row`` then reads h^0 at every l of that b, shifted by
-    ``slope * l``, off one pass of suffix sums over its pairs.  Every grid
-    point is still computed from the splitting type, never from the degree
-    form.
+    ``slope * l``, as at most one arithmetic run per pair plus one.  Every
+    grid point still gets its own value from the splitting type, never from
+    the degree form.
     """
     base, evaluations = _restrict_base(ctx, tower), 0
     for beta in range(1, beta_max + 1):

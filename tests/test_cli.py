@@ -441,6 +441,9 @@ def test_verify_cold_start_loads_verifier():
     assert code == 0
     assert "hirzcoh.verifier" in modules
     assert modules & NEVER_IMPORTED == set()
+    # a symbolic PASS writes no JSON and prints no witness; the header's
+    # stamp comes from time, not datetime
+    assert modules & {"json", "datetime"} == set()
 
 
 def run_closed_stdout(*argv):

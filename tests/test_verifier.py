@@ -277,6 +277,42 @@ def test_symbolic_and_sweep_agree_on_the_controls(name):
         assert [sweep.witness[k] for k in point] == [1, 0, 196]
 
 
+def _sweep_point_by_point(tower, beta_max):
+    """``_sweep_vanishing`` as a plain loop: h^0 from the pairs at each point."""
+    evaluations = 0
+    for beta in range(1, beta_max + 1):
+        st, slope = v._restrict_numeric(CTX2, tower, beta)
+        for ell in range(5 * beta + 1):
+            t = slope * ell
+            h0 = sum(r * (d + t + 1) for d, r in st.pairs if d + t >= 0)
+            evaluations += 1
+            if h0:
+                return evaluations, {"beta": beta, "ell": ell, "h0": h0}
+    return evaluations, None
+
+
+# a split tower no certificate builds: its rows are unbalanced and its top
+# degree -12 - 9b + 2l first reaches 0 at the last point of b <= 12
+_LATE_FAILURE = Tower(_SPLIT, a=ELL.scale(-1), b=DegreeForm(-12, -9, 0))
+
+
+@pytest.mark.parametrize(
+    "name", [*_TOWERS, "split_claim3", "split_remark_t", "split_charp3", "late_failure"]
+)
+def test_sweep_matches_point_by_point_h0(name):
+    if name in _TOWERS:
+        tower = _tower(name)[0]
+    elif name in _CONTROLS:
+        certificate, args, kwargs = _CONTROLS[name]
+        tower = _spec(certificate, *args, **kwargs).tower
+    else:
+        tower = _LATE_FAILURE
+    got = v._sweep_vanishing(CTX2, tower, 12)
+    assert got == _sweep_point_by_point(tower, 12)
+    if tower is _LATE_FAILURE:
+        assert (got[1]["beta"], got[1]["ell"]) == (12, 60)
+
+
 def test_restrict_symbolic_builds_no_splitting_type(monkeypatch):
     # the symbolic route shares no formula with the sweep: with the numeric
     # constructions broken it still gives the same answer for every tower
