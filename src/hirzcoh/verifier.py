@@ -342,17 +342,22 @@ class VanishingSpec(NamedTuple):
     """One h^0(C, tower|_C) = 0 certificate, as data for ``_certify``.
 
     ``details`` is the record's details dict, which the evaluator extends.
-    Every PASS headline is "<evidence>; <conclusion>": the evidence is the
-    mode's own (the degree form in symbolic mode, the grid count in sweep
-    mode), and the conclusion is the certificate's own text.
+    ``premises`` are the certificate's own; ``_certify`` adds the ones
+    every certificate shares.  ``fiber_multiple`` is the m of the base-row
+    identity h^0(O(m*b*F)) = m*b + 1 the certificate rests on, or None when
+    it rests on none.  Every PASS headline is "<evidence>; <conclusion>":
+    the evidence is the mode's own (the degree form in symbolic mode, the
+    grid count in sweep mode), and the conclusion is the certificate's own
+    text.
     """
 
     claim_id: str
     title: str
     tower: Tower
     details: dict
-    premises: tuple[Premise, ...]
     conclusion: str
+    premises: tuple[Premise, ...] = ()
+    fiber_multiple: int | None = None
 
 
 def _sweep_vanishing(
@@ -382,13 +387,19 @@ def _certify(
 ) -> ClaimRecord:
     """Evaluate a vanishing certificate with one rule.
 
-    The premises are checked first, in order; the first that fails is the
-    FAIL witness and no h^0 is computed.  Otherwise the top degree form of
-    the restriction decides (symbolic mode) or the grid sweep does (sweep
-    mode).
+    The premises are checked first, in this order: the ampleness of H, the
+    certificate's own premises, then the base-row identity when the spec
+    names a fiber multiple (its evidence goes to ``details["base_row"]``
+    whatever the outcome).  The first that fails is the FAIL witness and no
+    h^0 is computed.  Otherwise the top degree form of the restriction
+    decides (symbolic mode) or the grid sweep does (sweep mode).
     """
     details = spec.details
-    for name, holds, witness in spec.premises:
+    premises = [_premise("polarization H ample on F_e", ctx.is_ample(H)), *spec.premises]
+    if spec.fiber_multiple is not None:
+        details["base_row"] = _base_row_identity(ctx, spec.fiber_multiple, beta_max)
+        premises.append(_premise("base-row identity", details["base_row"]["holds"]))
+    for name, holds, witness in premises:
         if not holds:
             headline = f"premise failed: {name}; no h^0 computed"
             return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
@@ -425,7 +436,7 @@ def _certify(
 
 def _base_row_identity(
     ctx: SurfaceContext, fiber_multiple: int, beta_max: int | None
-) -> tuple[bool, dict]:
+) -> dict:
     """The base-row identity h^0(O(m*b*F)) = m*b + 1 = h^0(O(m*b)) on P^1.
 
     Sections of a bundle pulled back from the base restrict bijectively to
@@ -437,9 +448,10 @@ def _base_row_identity(
     0 <= u <= m*b, and h^0(O(n)) = n + 1 on P^1 for n >= 0, so the identity
     holds on the whole region exactly when the fiber degree m*b >= 0 there,
     i.e. m >= 0 (m < 0 breaks it at b = 2).  No h^0 is evaluated.  Sweep
-    mode checks b = 1..beta_max by three routes: the closed-form row sum
-    ``cohomology.h0``, h^0 of O(m*b) on P^1, and the lattice-point oracle,
-    which is skipped past its enumeration bound.
+    mode checks every b = 1..beta_max by the closed-form row sum
+    ``cohomology.h0`` and by h^0 of O(m*b) on P^1, and by the lattice-point
+    oracle only while m*b <= ``cohomology.BRUTE_FORCE_BOUND``.  Returns the
+    evidence, whose ``holds`` is the verdict.
     """
     info: dict = {
         "identity": f"h0(O({fiber_multiple}b F)) = {fiber_multiple}b + 1 = h0 on P^1",
@@ -449,11 +461,12 @@ def _base_row_identity(
         ),
     }
     if beta_max is None:
-        ok = fiber_multiple >= 0
         info["fiber_degree"] = f"{fiber_multiple}b >= 0 on the region"
+        info["holds"] = fiber_multiple >= 0
     else:
         checked = list(range(1, beta_max + 1))
-        ok = all(
+        info["checked_betas"] = checked
+        info["holds"] = all(
             cohomology.h0(ctx, cls) == SplittingType((cls.b,)).h0() == cls.b + 1
             and (
                 abs(cls.b) > cohomology.BRUTE_FORCE_BOUND
@@ -461,9 +474,7 @@ def _base_row_identity(
             )
             for cls in (DivisorClass(0, fiber_multiple * beta) for beta in checked)
         )
-        info["checked_betas"] = checked
-    info["holds"] = ok
-    return ok, info
+    return info
 
 
 # --------------------------------------------------------------------------
@@ -499,11 +510,8 @@ def peeling_vanishing_certificate(
             "polarization_identity_holds": identity_holds,
             "peeling": "l = 1..5b: vanishing on C makes each column inclusion bijective on H^0",
         },
-        premises=(
-            _premise("polarization H ample on F_e", ctx.is_ample(H)),
-            _premise("polarization identity 5H = 5C + 15F", identity_holds),
-        ),
         conclusion="every column inclusion is bijective on H^0",
+        premises=(_premise("polarization identity 5H = 5C + 15F", identity_holds),),
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -530,20 +538,16 @@ def base_row_certificate(
     if datum is None:
         datum = build_extension(ctx)
     m = fiber_multiple
-    row_ok, row_info = _base_row_identity(ctx, m, beta_max)
     spec = VanishingSpec(
         "claim4",
         "zero map on global sections into the base-pulled-back twist",
         Tower(datum, sym=4, b=BETA.scale(m)),
-        details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C", "base_row": row_info},
-        premises=(
-            _premise("polarization H ample on F_e", ctx.is_ample(H)),
-            _premise("base-row identity", row_ok),
-        ),
+        details={"bundle": f"S^{{4b}}(S^4 E)({m}bF) restricted to C"},
         conclusion=(
             f"H^0 into O({m}bF) is the zero map; "
             f"base row h^0(O({m}bF)) = {m}b + 1 restricts bijectively to C"
         ),
+        fiber_multiple=m,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -630,7 +634,6 @@ def frobenius_certificate(
     boundary = 15 - 4 * q
     sub_twisted = q * C + H
     identity_holds = 5 * H == 5 * C + 15 * F
-    row_ok, row_info = _base_row_identity(ctx, 15, beta_max)
     spec = VanishingSpec(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
@@ -650,18 +653,16 @@ def frobenius_certificate(
             ),
             "sub_is_big": ctx.is_big(sub_twisted),
             "quot_is_ample": ctx.is_ample(H),
-            "base_row": row_info,
         },
-        premises=(
-            _premise("polarization H ample on F_e", ctx.is_ample(H)),
-            _premise("boundary 15 - 4q <= -1", boundary <= -1, boundary_value=boundary),
-            _premise("polarization identity 5H = 5C + 15F", identity_holds),
-            _premise("base-row identity", row_ok),
-        ),
         conclusion=(
             f"p = {p}: exponent {k}, multiplier q = {q}, boundary 15 - 4q = {boundary}; "
             f"(F^{k}* E)(H) is not pseudo-effective"
         ),
+        premises=(
+            _premise("boundary 15 - 4q <= -1", boundary <= -1, boundary_value=boundary),
+            _premise("polarization identity 5H = 5C + 15F", identity_holds),
+        ),
+        fiber_multiple=15,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -683,7 +684,6 @@ def direct_not_psef_certificate(
     if datum is None:
         datum = build_extension(ctx)
     identity_holds = H == C + 3 * F
-    row_ok, row_info = _base_row_identity(ctx, 3, beta_max)
     spec = VanishingSpec(
         "remark_t",
         "E itself is not pseudo-effective",
@@ -693,14 +693,10 @@ def direct_not_psef_certificate(
             "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
             "polarization_identity": "H = C + 3F",
             "polarization_identity_holds": identity_holds,
-            "base_row": row_info,
         },
-        premises=(
-            _premise("polarization H ample on F_e", ctx.is_ample(H)),
-            _premise("polarization identity H = C + 3F", identity_holds),
-            _premise("base-row identity", row_ok),
-        ),
         conclusion="E itself is not pseudo-effective",
+        premises=(_premise("polarization identity H = C + 3F", identity_holds),),
+        fiber_multiple=3,
     )
     return _certify(ctx, spec, mode, beta_max)
 

@@ -98,6 +98,19 @@ def test_h0_row_bisects_once_per_run(n_pairs, slope, monkeypatch):
         assert len(calls) == n_pairs + 1
 
 
+def test_degrees_refuses_past_the_expand_limit():
+    with pytest.raises(ValueError, match="too large to expand"):
+        SplittingType.from_pairs([(0, 1_000_001)]).degrees()
+
+
+def test_repr_round_trips_on_both_sides_of_rank_16():
+    # up to rank 16 the repr lists degrees; past it, aggregated pairs
+    for rank, opening in ((16, "SplittingType(["), (17, "SplittingType.from_pairs([")):
+        bundle = SplittingType.from_pairs([(-1, rank - 2), (0, 1), (3, 1)])
+        assert repr(bundle).startswith(opening)
+        assert eval(repr(bundle)) == bundle
+
+
 def test_twist():
     assert SplittingType((-1, -1)).twist(3) == SplittingType((2, 2))
     assert SplittingType().twist(5) == SplittingType()

@@ -412,9 +412,33 @@ def test_symbolic_base_row_agrees_with_sampled_routes():
     for e in range(4):
         ctx = SurfaceContext(e)
         for m in (-2, -1, 0, 3, 15, 16):
-            symbolic, _ = v._base_row_identity(ctx, m, None)
-            sampled, _ = v._base_row_identity(ctx, m, 8)
+            symbolic = v._base_row_identity(ctx, m, None)["holds"]
+            sampled = v._base_row_identity(ctx, m, 8)["holds"]
             assert symbolic == sampled == (m >= 0), (e, m)
+
+
+def test_base_row_oracle_covers_beta_up_to_its_bound(monkeypatch):
+    # the closed form and the P^1 route check every listed beta; the lattice
+    # oracle only those with m * beta <= BRUTE_FORCE_BOUND
+    calls = []
+    real_oracle = coh.brute_force_h0
+
+    def counting_oracle(ctx, d):
+        calls.append(d)
+        return real_oracle(ctx, d)
+
+    monkeypatch.setattr(coh, "brute_force_h0", counting_oracle)
+    covered = {}
+    for name in ("claim4_m15", "claim4_m16", "charp_p3", "remark_t"):
+        certificate, args, kwargs, _ = _TOWERS[name]
+        m = _spec(certificate, *args, **kwargs).fiber_multiple
+        calls.clear()
+        info = v._base_row_identity(CTX2, m, 1000)
+        assert info["holds"] and info["checked_betas"] == list(range(1, 1001))
+        assert calls == [DivisorClass(0, m * beta) for beta in range(1, len(calls) + 1)]
+        covered[name] = len(calls)
+    assert coh.BRUTE_FORCE_BOUND == 10_000
+    assert covered == {"claim4_m15": 666, "claim4_m16": 625, "charp_p3": 666, "remark_t": 1000}
 
 
 def test_inflated_twist_control_fails():
@@ -545,8 +569,7 @@ def test_premises_are_checked_before_any_h0(monkeypatch):
     real_identity = v._base_row_identity
 
     def broken_base_row(ctx, fiber_multiple, beta_max):
-        _, info = real_identity(ctx, fiber_multiple, beta_max)
-        return False, {**info, "holds": False}
+        return {**real_identity(ctx, fiber_multiple, beta_max), "holds": False}
 
     monkeypatch.setattr(v, "_base_row_identity", broken_base_row)
     for mode, beta_max in (("symbolic", None), ("sweep", 4)):
@@ -572,6 +595,45 @@ def test_premises_are_checked_before_any_h0(monkeypatch):
             assert rec.witness == {"error": f"{name} failed"}
             assert rec.headline == f"premise failed: {name}; no h^0 computed"
             assert "evaluations" not in rec.details
+
+
+@pytest.mark.parametrize("mode,beta_max", (("symbolic", None), ("sweep", 4)))
+def test_premise_order_when_several_fail(monkeypatch, mode, beta_max):
+    # ampleness first, then the certificate's own premises, then the base row
+    def records():
+        return {
+            rec.claim_id: rec
+            for rec in (
+                peeling_vanishing_certificate(CTX2, mode=mode, beta_max=beta_max),
+                base_row_certificate(CTX2, mode=mode, beta_max=beta_max),
+                frobenius_certificate(CTX2, 3, mode=mode, beta_max=beta_max),
+                direct_not_psef_certificate(CTX2, mode=mode, beta_max=beta_max),
+            )
+        }
+
+    # C + 2F is not ample on F_2 and breaks both polarization identities
+    monkeypatch.setattr(v, "H", C + 2 * F)
+    for claim_id, rec in records().items():
+        assert rec.witness == {"error": "polarization H ample on F_e failed"}, claim_id
+
+    # C + 4F is ample but breaks both identities; a negative fiber multiple
+    # breaks every base row too
+    monkeypatch.setattr(v, "H", C + 4 * F)
+    real_identity = v._base_row_identity
+    monkeypatch.setattr(
+        v, "_base_row_identity", lambda ctx, m, beta_max: real_identity(ctx, -1, beta_max)
+    )
+    first_failed = {
+        "claim3": "polarization identity 5H = 5C + 15F",
+        "claim4": "base-row identity",
+        "charp": "polarization identity 5H = 5C + 15F",
+        "remark_t": "polarization identity H = C + 3F",
+    }
+    for claim_id, rec in records().items():
+        assert rec.witness == {"error": f"{first_failed[claim_id]} failed"}, claim_id
+        assert rec.headline == f"premise failed: {first_failed[claim_id]}; no h^0 computed"
+        if claim_id != "claim3":
+            assert not rec.details["base_row"]["holds"], claim_id
 
 
 def test_almost_nef_evidence():
