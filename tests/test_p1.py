@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -134,9 +135,24 @@ def _sym_oracle(degrees, m):
     return SplittingType(sum(c) for c in combinations_with_replacement(degrees, m))
 
 
+def _sym_by_pairs(pairs, m):
+    # S^m(O(d)^r + R) = sum over i of O(i*d)^C(r+i-1, i) (x) S^(m-i)(R), one
+    # pair at a time: it lists no monomial, so unlike _sym_oracle it shares
+    # nothing with the enumeration route of sym_power
+    if not pairs:
+        return [(0, 1)] if m == 0 else []
+    (d, r), rest = pairs[0], pairs[1:]
+    return [
+        (i * d + e, comb(r + i - 1, i) * s)
+        for i in range(m + 1)
+        for e, s in _sym_by_pairs(rest, m - i)
+    ]
+
+
 @given(st.lists(st.integers(-6, 6), min_size=0, max_size=4), st.integers(0, 6))
 def test_sym_power_matches_enumeration(degrees, m):
-    assert SplittingType(degrees).sym_power(m) == _sym_oracle(tuple(degrees), m)
+    by_pairs = SplittingType.from_pairs(_sym_by_pairs(tuple(Counter(degrees).items()), m))
+    assert SplittingType(degrees).sym_power(m) == _sym_oracle(tuple(degrees), m) == by_pairs
 
 
 def test_sym_power_balanced_fast_path_matches_enumeration():

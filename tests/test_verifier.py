@@ -386,12 +386,17 @@ def test_base_row_certificate_sweep():
 
 
 def test_base_row_identity_both_routes():
-    # h0(O(15b F)) on the surface vs h0(O(15b)) on P^1 vs the lattice oracle
-    for beta in (1, 2, 5):
-        cls = DivisorClass(0, 15 * beta)
-        assert coh.h0(CTX2, cls) == 15 * beta + 1
-        assert SplittingType((15 * beta,)).h0() == 15 * beta + 1
-        assert coh.brute_force_h0(CTX2, cls) == 15 * beta + 1
+    # h0(O(m b F)) on the surface vs h0(O(m b)) on P^1 vs the lattice oracle,
+    # for every certificate's m (16: the control) up to the last b the oracle
+    # reaches
+    for e in range(4):
+        ctx = SurfaceContext(e)
+        for m in (3, 15, 16):
+            for beta in (1, 2, coh.BRUTE_FORCE_BOUND // m):
+                cls = DivisorClass(0, m * beta)
+                assert coh.h0(ctx, cls) == m * beta + 1, (e, m, beta)
+                assert SplittingType((m * beta,)).h0() == m * beta + 1
+                assert coh.brute_force_h0(ctx, cls) == m * beta + 1, (e, m, beta)
 
 
 def _refuse_oracle(ctx, d):
@@ -417,28 +422,13 @@ def test_symbolic_base_row_agrees_with_sampled_routes():
             assert symbolic == sampled == (m >= 0), (e, m)
 
 
-def test_base_row_oracle_covers_beta_up_to_its_bound(monkeypatch):
-    # the closed form and the P^1 route check every listed beta; the lattice
-    # oracle only those with m * beta <= BRUTE_FORCE_BOUND
-    calls = []
-    real_oracle = coh.brute_force_h0
-
-    def counting_oracle(ctx, d):
-        calls.append(d)
-        return real_oracle(ctx, d)
-
-    monkeypatch.setattr(coh, "brute_force_h0", counting_oracle)
-    covered = {}
+def test_base_row_oracle_covers_beta_up_to_its_bound():
+    # both routes check every listed beta, past the lattice oracle's bound too
     for name in ("claim4_m15", "claim4_m16", "charp_p3", "remark_t"):
         certificate, args, kwargs, _ = _TOWERS[name]
         m = _spec(certificate, *args, **kwargs).fiber_multiple
-        calls.clear()
         info = v._base_row_identity(CTX2, m, 1000)
         assert info["holds"] and info["checked_betas"] == list(range(1, 1001))
-        assert calls == [DivisorClass(0, m * beta) for beta in range(1, len(calls) + 1)]
-        covered[name] = len(calls)
-    assert coh.BRUTE_FORCE_BOUND == 10_000
-    assert covered == {"claim4_m15": 666, "claim4_m16": 625, "charp_p3": 666, "remark_t": 1000}
 
 
 def test_inflated_twist_control_fails():
@@ -789,10 +779,11 @@ def test_report_verdict_follows_records():
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
 
 
-@pytest.mark.parametrize("characteristic", (0, 2, 3, 5, 7))
-def test_symbolic_replay_evaluates_no_oracle(monkeypatch, characteristic):
+@pytest.mark.parametrize("mode,beta_max", (("symbolic", None), ("sweep", 20), ("sweep", 1000)))
+def test_replay_evaluates_no_oracle(monkeypatch, mode, beta_max):
     monkeypatch.setattr(coh, "brute_force_h0", _refuse_oracle)
-    assert run_full_replay(CTX2, characteristic, "symbolic").overall == "PASS"
+    for characteristic in (0, 2, 3, 5, 7):
+        assert run_full_replay(CTX2, characteristic, mode, beta_max).overall == "PASS"
 
 
 @pytest.mark.parametrize(
