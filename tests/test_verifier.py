@@ -779,11 +779,17 @@ def test_report_verdict_follows_records():
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
 
 
-@pytest.mark.parametrize("mode,beta_max", (("symbolic", None), ("sweep", 20), ("sweep", 1000)))
-def test_replay_evaluates_no_oracle(monkeypatch, mode, beta_max):
+@pytest.mark.parametrize("characteristic", (0, 2, 3, 5, 7))
+def test_symbolic_replay_evaluates_no_oracle(monkeypatch, characteristic):
+    monkeypatch.setattr(coh, "brute_force_h0", _refuse_oracle)
+    assert run_full_replay(CTX2, characteristic, "symbolic").overall == "PASS"
+
+
+@pytest.mark.parametrize("beta_max", (20, 1000))
+def test_sweep_replay_evaluates_no_oracle(monkeypatch, beta_max):
     monkeypatch.setattr(coh, "brute_force_h0", _refuse_oracle)
     for characteristic in (0, 2, 3, 5, 7):
-        assert run_full_replay(CTX2, characteristic, mode, beta_max).overall == "PASS"
+        assert run_full_replay(CTX2, characteristic, "sweep", beta_max).overall == "PASS"
 
 
 @pytest.mark.parametrize(
