@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import cohomology
-from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class
+from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class, parse_int
 from .p1 import (
     SplittingParseError,
     SplittingType,
@@ -48,9 +48,16 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _int_type(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _char_type(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"characteristic must be an integer, got {text!r}")
     try:
@@ -121,7 +128,7 @@ def _parse_split_input(text: str) -> SplittingType:
                 f"expected ext(sub,quot,split|nonsplit), got {text!r}"
             )
         try:
-            sub, quot = int(body[0]), int(body[1])
+            sub, quot = parse_int(body[0]), parse_int(body[1])
         except ValueError:
             raise SplittingParseError(
                 f"expected integer degrees in ext(...), got {text!r}"
@@ -135,7 +142,7 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
     if not sep:
         raise ValueError(f"bad operation {token!r}: expected name:value")
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise ValueError(f"bad operation value in {token!r}: expected an integer") from None
     if name == "sym":
@@ -228,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     coh = sub.add_parser("coh", help="cohomology table for a divisor class")
-    coh.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
+    coh.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
     coh.add_argument("--char", type=_char_type, default=None, help="characteristic (informational)")
     coh.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
     coh.set_defaults(run=_cmd_coh)
 
     cone = sub.add_parser("cone", help="positivity-cone membership for a divisor class")
-    cone.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
+    cone.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
     cone.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
     cone.set_defaults(run=_cmd_cone)
 
@@ -253,10 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     split.set_defaults(run=_cmd_split)
 
     verify = sub.add_parser("verify", help="run the certificate replay")
-    verify.add_argument("-e", type=int, default=2, help="Hirzebruch twist (default 2)")
+    verify.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
     verify.add_argument("--char", type=_char_type, default=0, help="0 or a prime (default 0)")
     verify.add_argument("--mode", choices=("symbolic", "sweep"), default="symbolic")
-    verify.add_argument("--beta-max", type=int, default=None, help="grid bound (sweep mode only)")
+    verify.add_argument(
+        "--beta-max", type=_int_type, default=None, help="grid bound (sweep mode only)"
+    )
     verify.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
     verify.set_defaults(run=_cmd_verify)
     return parser

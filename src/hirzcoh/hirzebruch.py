@@ -129,7 +129,19 @@ class SurfaceContext(Value):
         return d.a > 0 and d.b > 0
 
 
-_TERM_RE = re.compile(r"([+-]?)(\d*)([CF])")
+#: Every integer of every input grammar: an optional sign, then ASCII
+#: digits.  ``int`` alone would also take "1_0", digits of other scripts
+#: and surrounding whitespace.
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+_TERM_RE = re.compile(r"([+-]?)([0-9]*)([CF])")
+
+
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells as ``[+-]?[0-9]+``; anything else raises ValueError."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def parse_class(text: str) -> DivisorClass:

@@ -23,13 +23,12 @@ parameter region at once.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement
 from math import comb, e, log2
 from typing import Iterable
 
-from .hirzebruch import Value
+from .hirzebruch import Value, parse_int
 
 # Enumerating the m-th symmetric power sums m degrees for each monomial;
 # refuse past this many terms (m times the monomial count).  Balanced
@@ -111,41 +110,29 @@ class SplittingType(Value):
     # -- cohomology and positivity -------------------------------------
 
     def h0(self, twist: int = 0) -> int:
-        """dim H^0 of the bundle tensored with O(twist): one point of ``h0_row``."""
-        return self.h0_row(0, 0, twist)[0]
+        """dim H^0 of the bundle tensored with O(twist).
 
-    def h0_row(self, slope: int, n: int, twist: int = 0) -> list[int]:
-        """dim H^0 of the bundle tensored with O(twist + slope*l), for l = 0..n.
-
-        At a twist t that is the sum of r*(d + t + 1) over the pairs (d, r)
-        with d + t >= 0; no twisted type is built.  Suffix sums R[k] of r and
-        D[k] of r*d over the sorted pairs are taken once; with k the first
-        pair with d >= -t, h^0 is D[k] + (t + 1)*R[k].  Along the row k is
-        monotone in l, so the row splits into at most one run per pair plus
-        one.  Each run costs one bisection for k and one floor division for
-        where the neighbouring pair's d + t changes sign; inside it h^0 is
-        linear in l with step slope*R[k], so the run is read off as one
-        arithmetic range.
+        The sum of r*(d + twist + 1) over the pairs (d, r) with d >= -twist.
         """
-        pairs = self._pairs
-        degrees = [d for d, _ in pairs]
-        ranks = [*accumulate((r for _, r in reversed(pairs)), initial=0)][::-1]
-        weights = [*accumulate((r * d for d, r in reversed(pairs)), initial=0)][::-1]
-        row, ell = [], 0
-        while ell <= n:
-            t = twist + slope * ell
-            k, end = bisect_left(degrees, -t), n
-            # as t rises k falls, and the run ends before degrees[k-1] + t
-            # reaches 0; as t falls k rises, and it ends at the last l with
-            # degrees[k] + t >= 0
-            if slope > 0 and k:
-                end = min(n, (-degrees[k - 1] - 1 - twist) // slope)
-            elif slope < 0 and k < len(degrees):
-                end = min(n, (twist + degrees[k]) // -slope)
-            v0, step, count = weights[k] + (t + 1) * ranks[k], slope * ranks[k], end - ell + 1
-            row += range(v0, v0 + step * count, step) if step else [v0] * count
-            ell = end + 1
-        return row
+        return sum(r * (d + twist + 1) for d, r in self._pairs if d >= -twist)
+
+    def first_section(self, slope: int, n: int) -> int | None:
+        """The first l in 0..n where the bundle tensored with O(slope*l) has sections.
+
+        A bundle on P^1 has sections exactly when its top degree is >= 0, and
+        the top degree of the twist, top + slope*l, is monotone in l, so the
+        two ends of the row decide it: l = 0 when top >= 0, else the ceiling
+        of -top/slope when the slope is positive and top + slope*n >= 0.
+        None when no l qualifies, and for the zero bundle.
+        """
+        if not self._pairs:
+            return None
+        top = self._pairs[-1][0]
+        if top >= 0:
+            return 0
+        if slope > 0 and top + slope * n >= 0:
+            return -(top // slope)
+        return None
 
     def h1(self) -> int:
         """dim H^1 = sum of (-d_i - 1) over summands with d_i <= -2."""
@@ -360,7 +347,7 @@ def parse_splitting(text: str) -> SplittingType:
     for token in body.split(","):
         token = token.strip()
         try:
-            degrees.append(int(token))
+            degrees.append(parse_int(token))
         except ValueError:
             raise SplittingParseError(f"bad degree {token!r} in {text!r}") from None
     return SplittingType(degrees)

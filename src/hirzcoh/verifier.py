@@ -21,13 +21,13 @@ has no sections exactly when its largest degree is negative, so
 negativity of that form on the whole region b >= 1, l >= 0 certifies
 h^0 = 0 for every parameter value at once, and a point where it is not
 negative is a witness, balanced or not.  Sweep mode replays the same
-h^0 computations numerically on a finite grid: it builds the b-independent
-base of each tower once, the tower once per b as a splitting type, and
-since l enters only through the twist on top, it reads h^0 at every l of
-that b as arithmetic runs, one per stretch of l where the same pairs have
-sections.  Deliberately
-corrupted inputs (the split direct sum, an inflated twist) must make the
-affected certificate FAIL; the test suite checks that they do.
+question numerically on a finite grid: it builds the b-independent base of
+each tower once and the tower once per b as a splitting type.  Since l
+enters only through the twist on top, that type's top degree moves
+monotonically along the row of b, so the two ends of the row decide every
+l of it, and the first l with sections, if any, is the witness.
+Deliberately corrupted inputs (the split direct sum, an inflated twist)
+must make the affected certificate FAIL; the test suite checks that they do.
 
 Every record is a pure computation; the orchestrator merges them in a
 fixed claim order.
@@ -63,9 +63,10 @@ ALPHA = 4
 BETA = DegreeForm(cb=1)
 ELL = DegreeForm(cl=1)
 
-#: Largest sweep grid bound.  A sweep's cost grows about quadratically in
-#: its bound, so a bound far past this one would run for hours; it is
-#: refused instead.
+#: Largest sweep grid bound; a larger one is refused.  Each b builds
+#: S^{4b} of the tower's base: cheap for the replay's balanced bases, but
+#: for an unbalanced base (a control's) a sweep to this bound already takes
+#: seconds, and its cost grows faster than quadratically in the bound.
 BETA_MAX_LIMIT = 1000
 
 #: Records that set the replay up; every other record is a claim.
@@ -178,8 +179,8 @@ def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, s
 class ClaimRecord:
     """One certified statement: what was checked, how, and the outcome.
 
-    ``mode`` is "symbolic", "sweep" or "exact".  The status follows the
-    witness: FAIL exactly when a witness is given.  ``degree_form`` is the
+    ``mode`` is "symbolic", "sweep" or "exact".  ``status`` is derived from
+    the witness: FAIL exactly when there is one.  ``degree_form`` is the
     top restricted degree of a vanishing claim's tower, which is every
     summand's degree when the bundle is balanced.
     """
@@ -196,7 +197,15 @@ class ClaimRecord:
     ) -> None:
         self.claim_id, self.title, self.mode, self.headline = claim_id, title, mode, headline
         self.degree_form, self.details, self.witness = degree_form, details or {}, witness
-        self.status = PASS if witness is None else FAIL
+
+    @property
+    def status(self) -> str:
+        return PASS if self.witness is None else FAIL
+
+    @status.setter
+    def status(self, value: str) -> None:
+        # assigning a status rewrites the witness, so the two never disagree
+        self.witness = None if value == PASS else self.witness or {"status": value}
 
     @property
     def passed(self) -> bool:
@@ -366,19 +375,19 @@ def _sweep_vanishing(
     """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins.
 
     The tower's base is built once and the tower once per b as a splitting
-    type; ``h0_row`` then reads h^0 at every l of that b, shifted by
-    ``slope * l``, as at most one arithmetic run per pair plus one.  Every
-    grid point still gets its own value from the splitting type, never from
-    the degree form.
+    type; ``first_section`` then decides every l of that b, twisted by
+    ``slope * l``, from the type's top degree at the two ends of the row.
+    The splitting type decides each row, never the degree form.  Returns
+    the grid points decided up to and including the witness, and the
+    witness with its h^0.
     """
     base, evaluations = _restrict_base(ctx, tower), 0
     for beta in range(1, beta_max + 1):
         st, slope = _restrict_numeric(ctx, tower, beta, base)
-        row = st.h0_row(slope, 5 * beta)
-        if any(row):
-            ell = next(ell for ell, value in enumerate(row) if value)
-            return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": row[ell]}
-        evaluations += len(row)
+        ell = st.first_section(slope, 5 * beta)
+        if ell is not None:
+            return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": st.h0(slope * ell)}
+        evaluations += 5 * beta + 1
     return evaluations, None
 
 
@@ -450,8 +459,8 @@ def _base_row_identity(
     i.e. m >= 0 (m < 0 breaks it at b = 2).  No h^0 is evaluated.  Sweep
     mode checks every b = 1..beta_max by two routes that share no formula:
     the surface's arithmetic series ``cohomology.h0``, and the pushforward
-    f_* O(m*b*F) = O(m*b) on P^1, whose h^0 ``SplittingType.h0`` reads by
-    suffix sums.  Returns the evidence, whose ``holds`` is the verdict.
+    f_* O(m*b*F) = O(m*b) on P^1, whose h^0 ``SplittingType.h0`` sums over
+    its one pair.  Returns the evidence, whose ``holds`` is the verdict.
     """
     info: dict = {
         "identity": f"h0(O({fiber_multiple}b F)) = {fiber_multiple}b + 1 = h0 on P^1",

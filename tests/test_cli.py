@@ -350,6 +350,42 @@ def test_verify_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("split", "[1_0]", "sym:1_0"),
+        ("split", "[0]", "sym:1_0"),
+        ("split", "ext(1_0,0,split)"),
+        ("split", "[\u0663]"),
+        ("coh", "-e", "1_0", "C"),
+        ("cone", "-e", "\u0662", "C"),
+        ("verify", "--mode", "sweep", "--beta-max", "1_0"),
+        ("verify", "--char", "\u0667"),
+        ("coh", "-e", "2", "\u0663C"),
+        ("coh", "-e", "2", "1_0C"),
+        ("coh", "-e", " 2", "C"),
+    ],
+    ids=[
+        "split_degree_underscore",
+        "split_op_underscore",
+        "split_ext_underscore",
+        "split_degree_arabic_indic",
+        "coh_twist_underscore",
+        "cone_twist_arabic_indic",
+        "verify_beta_max_underscore",
+        "verify_char_arabic_indic",
+        "coh_class_arabic_indic",
+        "coh_class_underscore",
+        "coh_twist_space",
+    ],
+)
+def test_every_integer_is_ascii_digits(argv):
+    # int() alone takes underscores, other scripts' digits and whitespace
+    code, out, err = run_in_process(list(argv))
+    assert (code, out) == (2, "")
+    assert_exit_contract(list(argv), code, out, err)
+
+
 def test_default_invocation_is_char0_replay(capsys):
     code, out, _ = run(capsys)
     assert code == 0

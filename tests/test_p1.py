@@ -1,7 +1,6 @@
 """Splitting-type calculus on P^1 and the affine degree forms."""
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hirzcoh import p1
 from hirzcoh.p1 import (
     AmbiguousExtensionError,
     DegreeForm,
@@ -48,18 +46,23 @@ row_types = st.one_of(
 )
 
 
+def h0_def(s, t):
+    """dim H^0 of s tensored with O(t), one summand at a time."""
+    return sum(d + t + 1 for d in s.degrees() if d + t >= 0)
+
+
 @given(row_types, st.integers(-6, 6), st.integers(0, 30), st.integers(-40, 40))
 @example(SplittingType(), -2, 5, 0)
 @example(SplittingType([-3] * 4), 0, 6, 3)
 @example(SplittingType([-2, 0, 0, 5]), 0, 4, -1)
 @example(SplittingType([-2, 0, 0, 5]), -2, 10, 8)
 @example(SplittingType([-2, 0, 0, 5]), 3, 10, -12)
-# run boundaries: d + t = 0 exactly at l = 0 and at l = n, for slope +-1
+# d + t = 0 exactly at l = 0 and at l = n, for slope +-1
 @example(SplittingType([-3, 2]), 1, 5, 3)
 @example(SplittingType([-3, 2]), 1, 5, -7)
 @example(SplittingType([-3, 2]), -1, 5, 3)
 @example(SplittingType([-3, 2]), -1, 5, 8)
-# |slope| >= 7: every run has length 1
+# |slope| >= 7: each step of l crosses a pair
 @example(SplittingType([-20, -13, -5, 0, 2, 9]), 7, 6, -22)
 @example(SplittingType([-20, -13, -5, 0, 2, 9]), -9, 6, 25)
 # multiplicities > 1
@@ -69,34 +72,31 @@ row_types = st.one_of(
 @example(SplittingType([-2, 0, 0, 5]), 0, 7, 1)
 @example(SplittingType([-1, 3]), 5, 0, -2)
 def test_h0_row_matches_definition(s, slope, n, twist):
-    def h0_def(t):
-        return sum(d + t + 1 for d in s.degrees() if d + t >= 0)
-
+    # h^0 at every point twist + slope*l, l = 0..n, of a row of twists
     twists = [twist + slope * ell for ell in range(n + 1)]
-    assert s.h0_row(slope, n, twist) == [h0_def(t) for t in twists]
-    assert [s.h0(t) for t in twists] == [h0_def(t) for t in twists]
+    assert [s.h0(t) for t in twists] == [h0_def(s, t) for t in twists]
 
 
-@pytest.mark.parametrize("n_pairs", range(1, 9))
-@pytest.mark.parametrize("slope", [1, -1, 3, -3, 0])
-def test_h0_row_bisects_once_per_run(n_pairs, slope, monkeypatch):
-    # the cost model: h^0 is linear in l between sign changes of d + t, so
-    # a row of n + 1 points on P pairs makes at most P + 1 bisections
-    calls = []
-
-    def counting(degrees, x):
-        calls.append(x)
-        return bisect_left(degrees, x)
-
-    s = SplittingType.from_pairs((40 * i - 150, i + 1) for i in range(n_pairs))
-    n = 5000
-    twist = 200 if slope < 0 else -200  # the row crosses every pair's d + t = 0
-    expected = s.h0_row(slope, n, twist)
-    monkeypatch.setattr(p1, "bisect_left", counting)
-    assert s.h0_row(slope, n, twist) == expected and len(expected) == n + 1
-    assert 1 <= len(calls) <= n_pairs + 1
-    if slope:
-        assert len(calls) == n_pairs + 1
+@given(row_types, st.integers(-6, 6), st.integers(0, 30))
+@example(SplittingType(), 3, 5)
+@example(SplittingType(), 0, 0)
+# slope 0: the row is one value throughout
+@example(SplittingType([-2, -1]), 0, 9)
+@example(SplittingType([-2, 0]), 0, 9)
+# n = 0: only l = 0 is in the row
+@example(SplittingType([-1, -4]), 5, 0)
+@example(SplittingType([3]), -2, 0)
+# the ceiling: -top = 7 is not a multiple of the slope 3, so l = 3
+@example(SplittingType([-9, -7]), 3, 5)
+# the top degree reaches 0 exactly at l = n, and one step past the row
+@example(SplittingType([-10, -8]), 2, 4)
+@example(SplittingType([-10, -8]), 2, 3)
+# a negative slope never recovers
+@example(SplittingType([-1, 4]), -1, 10)
+@example(SplittingType([-5, -1]), -1, 10)
+def test_first_section_is_the_first_positive_point(s, slope, n):
+    positive = [ell for ell in range(n + 1) if h0_def(s, slope * ell) > 0]
+    assert s.first_section(slope, n) == (positive[0] if positive else None)
 
 
 def test_degrees_refuses_past_the_expand_limit():

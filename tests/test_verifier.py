@@ -291,13 +291,19 @@ def _sweep_point_by_point(tower, beta_max):
     return evaluations, None
 
 
-# a split tower no certificate builds: its rows are unbalanced and its top
-# degree -12 - 9b + 2l first reaches 0 at the last point of b <= 12
-_LATE_FAILURE = Tower(_SPLIT, a=ELL.scale(-1), b=DegreeForm(-12, -9, 0))
+# split towers no certificate builds, with unbalanced rows and the first
+# witness (b, l) pinned.  The top degree -12 - 9b + 2l first reaches 0 at
+# the last point of b <= 12, where the slope divides it exactly; the top
+# degree -11 - 13b + 3l first reaches 0 at b = 6, where the slope 3 does
+# not divide 89, so the witness is the rounded-up l = 30.
+_LATE_FAILURES = {
+    "late_failure": (Tower(_SPLIT, a=ELL.scale(-1), b=DegreeForm(-12, -9, 0)), (12, 60)),
+    "rounded_failure": (Tower(_SPLIT, b=DegreeForm(-11, -13, 3)), (6, 30)),
+}
 
 
 @pytest.mark.parametrize(
-    "name", [*_TOWERS, "split_claim3", "split_remark_t", "split_charp3", "late_failure"]
+    "name", [*_TOWERS, "split_claim3", "split_remark_t", "split_charp3", *_LATE_FAILURES]
 )
 def test_sweep_matches_point_by_point_h0(name):
     if name in _TOWERS:
@@ -306,11 +312,11 @@ def test_sweep_matches_point_by_point_h0(name):
         certificate, args, kwargs = _CONTROLS[name]
         tower = _spec(certificate, *args, **kwargs).tower
     else:
-        tower = _LATE_FAILURE
+        tower, witness = _LATE_FAILURES[name]
     got = v._sweep_vanishing(CTX2, tower, 12)
     assert got == _sweep_point_by_point(tower, 12)
-    if tower is _LATE_FAILURE:
-        assert (got[1]["beta"], got[1]["ell"]) == (12, 60)
+    if name in _LATE_FAILURES:
+        assert (got[1]["beta"], got[1]["ell"]) == witness
 
 
 def test_restrict_symbolic_builds_no_splitting_type(monkeypatch):
@@ -772,10 +778,10 @@ def test_no_conclusion_without_ample_polarization(e):
 def test_report_verdict_follows_records():
     rep = run_full_replay(CTX2, 0, "symbolic")
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
-    _record(rep, "remark_t").status = "FAIL"
+    _record(rep, "remark_t").witness = {"beta": 1, "ell": 0}
     assert (rep.overall, rep.conclusion) == ("FAIL", "not certified")
     assert rep.first_failure().claim_id == "remark_t"
-    _record(rep, "remark_t").status = "PASS"
+    _record(rep, "remark_t").witness = None
     assert (rep.overall, rep.conclusion) == ("PASS", "not pseudo-effective")
 
 
@@ -810,6 +816,12 @@ def test_pass_headline_opens_with_mode_evidence(mode, beta_max, evidence):
 def test_status_follows_witness():
     assert v.ClaimRecord("x", "t", "exact").status == "PASS"
     assert v.ClaimRecord("x", "t", "exact", witness={"error": "e"}).status == "FAIL"
+    # assigning a status rewrites the witness instead of contradicting it
+    rec = v.ClaimRecord("x", "t", "exact")
+    rec.status = "FAIL"
+    assert rec.witness and rec.status == "FAIL" and not rec.passed
+    rec.status = "PASS"
+    assert rec.witness is None and rec.passed
     records = [
         peeling_vanishing_certificate(CTX2, split_control_datum(CTX2), "sweep", 5),
         peeling_vanishing_certificate(CTX2, split_control_datum(CTX2)),
