@@ -77,6 +77,37 @@ def test_h0_row_matches_definition(s, slope, n, twist):
     assert [s.h0(t) for t in twists] == [h0_def(s, t) for t in twists]
 
 
+@pytest.mark.parametrize("n_pairs", range(1, 9))
+@pytest.mark.parametrize("slope", [1, -1, 3, -3, 0])
+def test_h0_row_bisects_once_per_run(n_pairs, slope, monkeypatch):
+    # h^0 along a row is linear in l between sign changes of d + t: a row on
+    # P pairs splits into at most P + 1 runs, exactly P + 1 when it crosses
+    # every pair, and first_section finds where the first nonzero run starts
+    # from the top degree alone, reading no h^0
+    s = SplittingType.from_pairs((40 * i - 150, i + 1) for i in range(n_pairs))
+    n = 5000
+    twist = 200 if slope < 0 else -200  # the row crosses every pair's d + t = 0
+    row = [s.h0(twist + slope * ell) for ell in range(n + 1)]
+    assert row == [h0_def(s, twist + slope * ell) for ell in range(n + 1)]
+
+    runs = {}  # the pairs with sections -> the l that share them
+    for ell in range(n + 1):
+        live = tuple((d, r) for d, r in s.pairs if d + twist + slope * ell >= 0)
+        runs.setdefault(live, []).append(ell)
+    assert len(runs) == (n_pairs + 1 if slope else 1)
+    for live, ells in runs.items():
+        assert ells == list(range(ells[0], ells[-1] + 1))
+        step = slope * sum(r for _, r in live)
+        assert [row[ell] for ell in ells] == [
+            row[ells[0]] + step * i for i in range(len(ells))
+        ]
+
+    monkeypatch.setattr(SplittingType, "h0", lambda *a: pytest.fail("h0 was read"))
+    positive = [ell for ell, v in enumerate(row) if v > 0]
+    first = s.twist(twist).first_section(slope, n)
+    assert first == (positive[0] if positive else None)
+
+
 @given(row_types, st.integers(-6, 6), st.integers(0, 30))
 @example(SplittingType(), 3, 5)
 @example(SplittingType(), 0, 0)
