@@ -15,10 +15,13 @@ timestamped header line of ``verify`` (lines starting with ``#`` are meant
 to be excluded from golden comparisons).  JSON reports carry no timestamp
 at all.
 
-Only ``verify`` imports the verifier: ``coh``, ``cone`` and ``split`` are
-mostly interpreter start and import, so they load only the calculators
-they use.  ``verify`` itself loads ``json`` only for a ``--json`` report
-or a FAIL witness, ``pathlib`` only for a ``--json`` report, and never
+``coh``, ``cone`` and ``split`` are mostly interpreter start and import,
+so each command imports the modules it runs and no others.  At module
+level this file loads only ``hirzebruch``, which is all ``cone`` needs;
+``coh`` adds ``cohomology`` and its oracle kernel, ``split`` adds ``p1``,
+``--char`` adds ``primes``, and only ``verify`` imports the verifier.
+``verify`` itself loads ``json`` only for a ``--json`` report or a FAIL
+witness, ``pathlib`` only for a ``--json`` report, and never
 ``datetime``.
 """
 
@@ -28,16 +31,7 @@ import argparse
 import os
 import sys
 
-from . import cohomology
 from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class, parse_int
-from .p1 import (
-    SplittingParseError,
-    SplittingType,
-    classify_extension,
-    format_splitting,
-    parse_splitting,
-)
-from .primes import is_prime
 
 #: Exit status when stdout is closed early: 128 + SIGPIPE, which a shell
 #: also reports for a writer that SIGPIPE killed.
@@ -56,6 +50,8 @@ def _int_type(text: str) -> int:
 
 
 def _char_type(text: str) -> int:
+    from .primes import is_prime
+
     try:
         value = parse_int(text)
     except ValueError:
@@ -90,6 +86,8 @@ def _class_line(ctx: SurfaceContext, d: DivisorClass) -> str:
 
 
 def _cmd_coh(args: argparse.Namespace) -> tuple[int, list[str]]:
+    from . import cohomology
+
     ctx = SurfaceContext(args.e)
     d = parse_class(args.klass)
     values = [
@@ -120,6 +118,8 @@ def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _parse_split_input(text: str) -> SplittingType:
+    from .p1 import SplittingParseError, classify_extension, parse_splitting
+
     compact = "".join(text.split())
     if compact.startswith("ext(") and compact.endswith(")"):
         body = compact[4:-1].split(",")
@@ -155,6 +155,8 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
 
 
 def _cmd_split(args: argparse.Namespace) -> tuple[int, list[str]]:
+    from .p1 import format_splitting
+
     st = _parse_split_input(args.bundle)
     for token in args.ops:
         st = _apply_op(st, token)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hirzcoh import cohomology as coh
 from hirzcoh.cohomology import (
@@ -107,6 +109,27 @@ def test_euler_characteristic_random():
         ctx = SurfaceContext(rng.randrange(0, 4))
         d = DivisorClass(rng.randint(-50, 50), rng.randint(-50, 50))
         assert h0(ctx, d) - h1(ctx, d) + h2(ctx, d) == chi_rr(ctx, d), (ctx.e, d)
+
+
+def _chi_and_h2_by_the_intersection_form(ctx, d):
+    # the second route builds K and K - D as classes and pairs them with
+    # SurfaceContext.intersect; chi_rr and h2 expand the same numbers in
+    # the coefficients, so a slip in either expansion shows here
+    k = ctx.canonical_class
+    assert chi_rr(ctx, d) == 1 + (ctx.intersect(d, d) - ctx.intersect(d, k)) // 2, (ctx.e, d)
+    assert h2(ctx, d) == h0(ctx, k - d), (ctx.e, d)
+
+
+@pytest.mark.parametrize("e", range(6))
+def test_chi_and_h2_match_the_intersection_form_exhaustive(e):
+    ctx = SurfaceContext(e)
+    for d in _classes(30):
+        _chi_and_h2_by_the_intersection_form(ctx, d)
+
+
+@given(st.integers(0, 1000), st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))
+def test_chi_and_h2_match_the_intersection_form_huge(e, a, b):
+    _chi_and_h2_by_the_intersection_form(SurfaceContext(e), DivisorClass(a, b))
 
 
 @pytest.mark.parametrize("e", range(4))

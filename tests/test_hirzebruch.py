@@ -178,13 +178,31 @@ def test_parse_examples():
     assert parse_class("F+2C") == DivisorClass(2, 1)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["C+F+F", "", "C3F", "2C+", "x", "CC", "1", "+-C", "C 3F"],
-)
+# each refusal's full message: an empty string, an unexpected token (the
+# rest of the whitespace-free string, at its position there), a term after
+# the first without a sign, and a repeated generator; the message quotes
+# the input as given
+PARSE_ERRORS = {
+    "C+F+F": "repeated F term '+F' in 'C+F+F'",
+    "": "empty divisor-class string",
+    "C3F": "missing '+' or '-' before term '3F' in 'C3F'",
+    "2C+": "unexpected token '+' at position 2 in '2C+'",
+    "x": "unexpected token 'x' at position 0 in 'x'",
+    "CC": "missing '+' or '-' before term 'C' in 'CC'",
+    "1": "unexpected token '1' at position 0 in '1'",
+    "+-C": "unexpected token '+-C' at position 0 in '+-C'",
+    "C 3F": "missing '+' or '-' before term '3F' in 'C 3F'",
+    "  ": "empty divisor-class string",
+    " -2 C + 3 G ": "unexpected token '+3G' at position 3 in ' -2 C + 3 G '",
+    "F-C+7F+C": "repeated F term '+7F' in 'F-C+7F+C'",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_rejects(bad):
-    with pytest.raises(ClassParseError):
+    with pytest.raises(ClassParseError) as info:
         parse_class(bad)
+    assert str(info.value) == PARSE_ERRORS[bad]
 
 
 def test_parse_error_names_token():
