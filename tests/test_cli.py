@@ -1,9 +1,11 @@
 """Command-line golden outputs, exit codes, and report determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from hirzcoh import cli
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -661,3 +664,88 @@ NINES = "9" * 4300
 )
 def test_exit_contract_in_a_capped_child(argv):
     assert_exit_contract(argv, *run_capped(*argv))
+
+
+# -- the process entry: main's code and output, then exit without a final collection
+
+
+def console_script():
+    """``-c`` code that runs the ``hirzcoh`` entry point pyproject.toml declares.
+
+    It does what the wrapper pip installs for a console script does:
+    ``sys.exit(entry())``, with the command's words in ``sys.argv[1:]``.
+    """
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^hirzcoh = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys; from {module} import {func}; sys.exit({func}())"
+
+
+def run_cold(argv, run_as=("-m", "hirzcoh.cli"), flags=()):
+    proc = subprocess.run(
+        [sys.executable, *flags, *run_as, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+ENTRY_CASES = {
+    "coh": (("coh", "-e", "2", "--", "C+3F"), 0),
+    "coh_char": (("coh", "--char", "7", "--", "C"), 0),
+    "cone": (("cone", "-e", "1", "--", "C+3F"), 0),
+    "split": (("split", "[-1,2]", "sym:3"), 0),
+    "verify": (("verify",), 0),
+    "verify_fail": (("verify", "-e", "3"), 1),
+    "refusal": (("cone", "-e", "-1", "C"), 2),
+}
+
+
+ENTRIES = {"module": ("-m", "hirzcoh.cli"), "console_script": ("-c", console_script())}
+
+
+@pytest.mark.parametrize("run_as", ENTRIES.values(), ids=ENTRIES)
+@pytest.mark.parametrize("argv, want", ENTRY_CASES.values(), ids=ENTRY_CASES)
+def test_cold_child_matches_in_process_main(argv, want, run_as):
+    """``python -m hirzcoh.cli`` and the installed script exit as ``main`` returns."""
+    child = run_cold(argv, run_as)
+    code, out, err = run_in_process(list(argv))
+    assert (code, child[0]) == (want, want)
+    assert body(child[1]) == body(out) and child[2] == err
+    assert_exit_contract(list(argv), *child)
+
+
+def test_main_leaves_the_freeze_count_unchanged(capsys):
+    """Only the process entry freezes; in-process callers keep a collectable heap."""
+    before = gc.get_freeze_count()
+    for argv, want in ENTRY_CASES.values():
+        assert run(capsys, *argv)[0] == want
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_the_heap_before_it_exits():
+    # atexit runs before the interpreter's final collection
+    report = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count()))"
+    code, out, err = run_cold(["cone", "C"], ("-c", f"{report}; {console_script()}"))
+    assert (code, err) == (0, "")
+    assert int(out.splitlines()[-1]) > 0
+
+
+@pytest.mark.parametrize(
+    "run_as",
+    [
+        ("-m", "hirzcoh.cli"),
+        # the same run, collected before exit: a file left open in cyclic
+        # garbage, which the freeze would never finalize, warns here
+        ("-c", "import gc, sys; from hirzcoh import cli; c = cli.main(); gc.collect(); sys.exit(c)"),
+    ],
+    ids=["entry", "collected"],
+)
+def test_cold_json_report_in_dev_mode_leaves_stderr_empty(tmp_path, capsys, run_as):
+    """Under ``-X dev -W error`` an unclosed file or a late warning shows on stderr."""
+    path = tmp_path / "r.json"
+    code, out, err = run_cold(["verify", "--json", str(path)], run_as, ("-X", "dev", "-W", "error"))
+    assert (code, err) == (0, "") and "\noverall PASS:" in out
+    assert run(capsys, "verify", "--json", str(tmp_path / "ref.json"))[0] == 0
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
