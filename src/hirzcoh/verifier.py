@@ -59,6 +59,10 @@ H = DivisorClass(1, 3)
 #: outer symmetric power is S^{ALPHA*b}.
 ALPHA = 4
 
+#: (n, m) of the twist identity n*H = n*C + m*F that claim3 and charp peel
+#: along; claim4's default fiber multiple is its m.
+_PEEL = (5, 15)
+
 #: The two region parameters as degree forms.
 BETA = DegreeForm(cb=1)
 ELL = DegreeForm(cl=1)
@@ -273,25 +277,24 @@ def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
 
 def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
     """The extension setup record, and the datum when one exists."""
+    title = "nonsplit extension of O by O(C)"
     try:
         datum = build_extension(ctx)
     except ValueError as exc:
-        datum, headline, details, witness = None, str(exc), {}, {"error": str(exc)}
-    else:
-        headline = (
-            f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {datum.ext_dim}; "
-            f"nonsplit class chosen"
-        )
-        details = {
-            "sub": format_class(datum.sub),
-            "quot": format_class(datum.quot),
-            "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
-            "ext_dim": datum.ext_dim,
-            "nonsplit": datum.nonsplit,
-        }
-        witness = None
-    title = "nonsplit extension of O by O(C)"
-    return datum, ClaimRecord("extension", title, "exact", headline, None, details, witness)
+        witness = {"error": str(exc)}
+        return None, ClaimRecord("extension", title, "exact", str(exc), None, {}, witness)
+    headline = (
+        f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {datum.ext_dim}; "
+        f"nonsplit class chosen"
+    )
+    details = {
+        "sub": format_class(datum.sub),
+        "quot": format_class(datum.quot),
+        "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
+        "ext_dim": datum.ext_dim,
+        "nonsplit": datum.nonsplit,
+    }
+    return datum, ClaimRecord("extension", title, "exact", headline, None, details)
 
 
 def nonsplit_restriction_certificate(
@@ -347,17 +350,26 @@ def _premise(name: str, holds: bool, **facts) -> Premise:
     return (name, holds, {"error": f"{name} failed", **facts})
 
 
-class VanishingSpec(NamedTuple):
-    """One h^0(C, tower|_C) = 0 certificate, as data for ``_certify``.
+def _polarization_identity(n: int, m: int) -> dict:
+    """The twist identity n*H = n*C + m*F as details; ``_certify`` checks it."""
+    c = "" if n == 1 else n
+    return {
+        "polarization_identity": f"{c}H = {c}C + {m}F",
+        "polarization_identity_holds": n * H == n * C + m * F,  # checked, not assumed
+    }
 
-    ``details`` is the record's details dict, which the evaluator extends.
-    ``premises`` are the certificate's own; ``_certify`` adds the ones
-    every certificate shares.  ``fiber_multiple`` is the m of the base-row
-    identity h^0(O(m*b*F)) = m*b + 1 the certificate rests on, or None when
-    it rests on none.  Every PASS headline is "<evidence>; <conclusion>":
-    the evidence is the mode's own (the degree form in symbolic mode, the
-    grid count in sweep mode), and the conclusion is the certificate's own
-    text.
+
+class VanishingSpec(NamedTuple):
+    """One h^0(C, tower|_C) = 0 certificate as a row for ``_certify``.
+
+    A ``tower`` whose datum is None gets ``build_extension(ctx)``.
+    ``details`` is the record's details dict, which the evaluator extends; a
+    row that rests on a twist identity n*H = n*C + m*F places
+    ``_polarization_identity(n, m)`` in it.  ``premises`` are the row's own.
+    ``fiber_multiple`` is the m of the base-row identity
+    h^0(O(m*b*F)) = m*b + 1, or None.  Each (n, m) is written once:
+    ``_PEEL`` for claim3 and charp, and in remark_t's row.  A PASS headline
+    is "<mode evidence>; <conclusion>".
     """
 
     claim_id: str
@@ -396,15 +408,22 @@ def _certify(
 ) -> ClaimRecord:
     """Evaluate a vanishing certificate with one rule.
 
-    The premises are checked first, in this order: the ampleness of H, the
-    certificate's own premises, then the base-row identity when the spec
-    names a fiber multiple (its evidence goes to ``details["base_row"]``
-    whatever the outcome).  The first that fails is the FAIL witness and no
-    h^0 is computed.  Otherwise the top degree form of the restriction
-    decides (symbolic mode) or the grid sweep does (sweep mode).
+    It checks the mode and ``beta_max``, then fills in a missing datum.  The
+    premises come next, in this order: the ampleness of H, the row's own,
+    its polarization identity, then the base-row identity when the row names
+    a fiber multiple (its evidence goes to ``details["base_row"]`` whatever
+    the outcome).  The first that fails is the FAIL witness and no h^0 is
+    computed.  Otherwise the top degree form of the restriction decides
+    (symbolic mode) or the grid sweep does (sweep mode).
     """
+    _check_mode(mode, beta_max)
+    if spec.tower.datum is None:
+        spec = spec._replace(tower=spec.tower._replace(datum=build_extension(ctx)))
     details = spec.details
     premises = [_premise("polarization H ample on F_e", ctx.is_ample(H)), *spec.premises]
+    if "polarization_identity" in details:
+        name = f"polarization identity {details['polarization_identity']}"
+        premises.append(_premise(name, details["polarization_identity_holds"]))
     if spec.fiber_multiple is not None:
         details["base_row"] = _base_row_identity(ctx, spec.fiber_multiple, beta_max)
         premises.append(_premise("base-row identity", details["base_row"]["holds"]))
@@ -501,22 +520,17 @@ def peeling_vanishing_certificate(
     at a time (the twist identity 5H = 5C + 15F makes 5b*H = 5b*C + 15b*F)
     then identifies H^0 at the 15b*F twist with H^0 at the 5b*H twist.
     """
-    _check_mode(mode, beta_max)
-    if datum is None:
-        datum = build_extension(ctx)
-    identity_holds = 5 * H == 5 * C + 15 * F  # divisor arithmetic is checked, not assumed
+    n, m = _PEEL
     spec = VanishingSpec(
         "claim3",
         "vanishing on C of the peeled symmetric-power columns",
-        Tower(datum, sym=4, a=ELL, b=BETA.scale(15)),
+        Tower(datum, sym=4, a=ELL, b=BETA.scale(m)),
         details={
-            "bundle": "S^{4b}(S^4 E)(lC + 15bF) restricted to C",
-            "polarization_identity": "5H = 5C + 15F",
-            "polarization_identity_holds": identity_holds,
-            "peeling": "l = 1..5b: vanishing on C makes each column inclusion bijective on H^0",
+            "bundle": f"S^{{4b}}(S^4 E)(lC + {m}bF) restricted to C",
+            **_polarization_identity(n, m),
+            "peeling": f"l = 1..{n}b: vanishing on C makes each column inclusion bijective on H^0",
         },
         conclusion="every column inclusion is bijective on H^0",
-        premises=(_premise("polarization identity 5H = 5C + 15F", identity_holds),),
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -526,7 +540,7 @@ def base_row_certificate(
     datum: ExtensionDatum | None = None,
     mode: str = "symbolic",
     beta_max: int | None = None,
-    fiber_multiple: int = 15,
+    fiber_multiple: int = _PEEL[1],
 ) -> ClaimRecord:
     """Claim id "claim4": the map onto the base-pulled-back twist kills H^0.
 
@@ -539,9 +553,6 @@ def base_row_certificate(
     ``fiber_multiple`` exists for the falsifiability control: m = 16 makes
     the degree form vanish identically and the certificate must FAIL.
     """
-    _check_mode(mode, beta_max)
-    if datum is None:
-        datum = build_extension(ctx)
     m = fiber_multiple
     spec = VanishingSpec(
         "claim4",
@@ -631,18 +642,15 @@ def frobenius_certificate(
     """
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
-    _check_mode(mode, beta_max)
-    if datum is None:
-        datum = build_extension(ctx)
+    n, m = _PEEL
     k = 1 if p >= 5 else 2
     q = p**k
-    boundary = 15 - 4 * q
+    boundary = m - ALPHA * q
     sub_twisted = q * C + H
-    identity_holds = 5 * H == 5 * C + 15 * F
     spec = VanishingSpec(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
-        Tower(datum, frob=q, a=ELL, b=BETA.scale(15)),
+        Tower(datum, frob=q, a=ELL, b=BETA.scale(m)),
         details={
             "p": p,
             "frobenius_exponent": k,
@@ -650,8 +658,7 @@ def frobenius_certificate(
             "boundary_value": boundary,
             "boundary_bound": -1,
             "boundary_attained": boundary == -1,
-            "polarization_identity": "5H = 5C + 15F",
-            "polarization_identity_holds": identity_holds,
+            **_polarization_identity(n, m),
             "twisted_extension": (
                 f"0 -> O({format_class(sub_twisted)}) -> (F^{k}* E)(H) -> "
                 f"O({format_class(H)}) -> 0"
@@ -660,14 +667,13 @@ def frobenius_certificate(
             "quot_is_ample": ctx.is_ample(H),
         },
         conclusion=(
-            f"p = {p}: exponent {k}, multiplier q = {q}, boundary 15 - 4q = {boundary}; "
+            f"p = {p}: exponent {k}, multiplier q = {q}, boundary {m} - {ALPHA}q = {boundary}; "
             f"(F^{k}* E)(H) is not pseudo-effective"
         ),
         premises=(
-            _premise("boundary 15 - 4q <= -1", boundary <= -1, boundary_value=boundary),
-            _premise("polarization identity 5H = 5C + 15F", identity_holds),
+            _premise(f"boundary {m} - {ALPHA}q <= -1", boundary <= -1, boundary_value=boundary),
         ),
-        fiber_multiple=15,
+        fiber_multiple=m,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -685,23 +691,18 @@ def direct_not_psef_certificate(
     -b - 2l < 0 (twist identity H = C + 3F), and sections of O(3b*F)
     restrict bijectively to C.
     """
-    _check_mode(mode, beta_max)
-    if datum is None:
-        datum = build_extension(ctx)
-    identity_holds = H == C + 3 * F
+    n, m = 1, 3
     spec = VanishingSpec(
         "remark_t",
         "E itself is not pseudo-effective",
-        Tower(datum, a=ELL, b=BETA.scale(3)),
+        Tower(datum, a=ELL, b=BETA.scale(m)),
         details={
-            "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
+            "bundle": f"S^{{4b}}(E)(lC + {m}bF) restricted to C",
             "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
-            "polarization_identity": "H = C + 3F",
-            "polarization_identity_holds": identity_holds,
+            **_polarization_identity(n, m),
         },
         conclusion="E itself is not pseudo-effective",
-        premises=(_premise("polarization identity H = C + 3F", identity_holds),),
-        fiber_multiple=3,
+        fiber_multiple=m,
     )
     return _certify(ctx, spec, mode, beta_max)
 

@@ -114,7 +114,8 @@ def test_restrict_numeric_frobenius_degrees():
 
 
 def _spec(certificate, *args, **kwargs):
-    """The VanishingSpec a certificate hands to ``_certify``."""
+    """The VanishingSpec a certificate hands to ``_certify``, with the
+    default datum filled in as ``_certify`` fills it."""
     seen = []
     real = v._certify
     v._certify = lambda ctx, spec, mode, beta_max: seen.append(spec)
@@ -122,7 +123,10 @@ def _spec(certificate, *args, **kwargs):
         certificate(CTX2, *args, **kwargs)
     finally:
         v._certify = real
-    return seen[0]
+    spec = seen[0]
+    if spec.tower.datum is None:
+        spec = spec._replace(tower=spec.tower._replace(datum=build_extension(CTX2)))
+    return spec
 
 
 def _grid(beta_max):
@@ -435,6 +439,19 @@ def test_base_row_oracle_covers_beta_up_to_its_bound():
         m = _spec(certificate, *args, **kwargs).fiber_multiple
         info = v._base_row_identity(CTX2, m, 1000)
         assert info["holds"] and info["checked_betas"] == list(range(1, 1001))
+
+
+def test_rows_agree_on_their_twist_numbers():
+    # every base-row tower twists by its own fiber multiple, and claim3 and
+    # claim4 (so sigma) meet at one multiple of F
+    for name, (certificate, args, kwargs, _) in _TOWERS.items():
+        spec = _spec(certificate, *args, **kwargs)
+        if spec.fiber_multiple is not None:
+            assert spec.tower.b == BETA.scale(spec.fiber_multiple), name
+    claim3 = _spec(peeling_vanishing_certificate)
+    assert claim3.tower.b == _spec(base_row_certificate).tower.b
+    charp = _spec(frobenius_certificate, 2)
+    assert claim3.details["polarization_identity"] == charp.details["polarization_identity"]
 
 
 def test_inflated_twist_control_fails():
@@ -861,6 +878,39 @@ def test_replay_argument_validation():
     with pytest.raises(ValueError, match="beta_max <= 1000, got 1001"):
         run_full_replay(CTX2, 0, "sweep", 1001)
     v._check_mode("sweep", v.BETA_MAX_LIMIT)  # the limit itself is allowed
+
+
+_CERTIFICATES = {
+    "claim3": (peeling_vanishing_certificate, ()),
+    "claim4": (base_row_certificate, ()),
+    "charp": (frobenius_certificate, (2,)),
+    "remark_t": (direct_not_psef_certificate, ()),
+}
+
+
+@pytest.mark.parametrize("name", _CERTIFICATES)
+def test_certificate_refuses_bad_arguments(name):
+    certificate, args = _CERTIFICATES[name]
+    refusals = [
+        ("fast", None, "mode must be"),
+        ("sweep", None, "sweep mode needs beta_max >= 1"),
+        ("sweep", 0, "sweep mode needs beta_max >= 1"),
+        ("symbolic", 3, "beta_max is only meaningful"),
+        ("sweep", 1001, "beta_max <= 1000, got 1001"),
+    ]
+    # F_1 has no nonsplit extension: the arguments are refused before the
+    # default datum is built
+    for ctx in (CTX2, SurfaceContext(1)):
+        for mode, beta_max, message in refusals:
+            with pytest.raises(ValueError, match=message):
+                certificate(ctx, *args, mode=mode, beta_max=beta_max)
+    with pytest.raises(ValueError, match="no nonsplit extension"):
+        certificate(SurfaceContext(1), *args)
+
+
+def test_charp_refuses_a_composite_before_the_mode():
+    with pytest.raises(ValueError, match="characteristic must be prime, got 4"):
+        frobenius_certificate(CTX2, 4, mode="fast")
 
 
 def test_report_json_shape():
