@@ -60,7 +60,8 @@ H = DivisorClass(1, 3)
 ALPHA = 4
 
 #: (n, m) of the twist identity n*H = n*C + m*F that claim3 and charp peel
-#: along; claim4's default fiber multiple is its m.
+#: along; claim4's default fiber multiple is its m, and a sweep covers the
+#: n*b columns claim3 peels, 0 <= l <= n*b.
 _PEEL = (5, 15)
 
 #: The two region parameters as degree forms.
@@ -76,31 +77,32 @@ BETA_MAX_LIMIT = 1000
 #: Records that set the replay up; every other record is a claim.
 _SETUP_IDS = ("extension", "restriction")
 
+#: The report's note whenever it holds a charp record.
+_CHARP_NOTE = (
+    "characteristic > 0: whether pseudo-effectivity of E passes to "
+    "its symmetric powers is unknown, so the conclusion for the "
+    "twisted bundle goes through the Frobenius pullback instead"
+)
+
 
 # --------------------------------------------------------------------------
 # extension datum and the tower over it
 # --------------------------------------------------------------------------
 
 
-_Datum = NamedTuple(
-    "_Datum", [("sub", DivisorClass), ("quot", DivisorClass), ("nonsplit", bool), ("ext_dim", int)]
-)
+class ExtensionDatum(NamedTuple):
+    """A rank-2 extension of O(quot) by O(sub): the bundle E at the bottom
+    of every ``Tower``.
 
-
-class ExtensionDatum(_Datum):
-    """A rank-2 extension of O(quot) by O(sub), plus its Ext-group size.
-
-    It is the bundle E at the bottom of every ``Tower``.  ``ext_dim`` is
-    dim Ext^1(O(quot), O(sub)) = h^1(O(sub - quot)) on the surface;
-    ``nonsplit`` records whether a nonzero class was taken.
+    ``nonsplit`` records whether a nonzero class of Ext^1(O(quot), O(sub))
+    = H^1(O(sub - quot)) was taken.  The group's dimension is read from the
+    surface where it is needed, never stored; the restriction certificate
+    FAILs a nonsplit datum whose group is 0.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, sub: DivisorClass, quot: DivisorClass, nonsplit: bool, ext_dim: int):
-        if nonsplit and ext_dim < 1:
-            raise ValueError("a nonsplit extension needs ext_dim >= 1")
-        return super().__new__(cls, sub, quot, nonsplit, ext_dim)
+    sub: DivisorClass
+    quot: DivisorClass
+    nonsplit: bool
 
 
 class Tower(NamedTuple):
@@ -259,20 +261,24 @@ def build_extension(ctx: SurfaceContext) -> ExtensionDatum:
     degrees {0, -e}), so e >= 2 is exactly the range with a nonzero class
     to choose.
     """
-    ext_dim = cohomology.h1(ctx, C)
-    if ext_dim == 0:
+    if cohomology.h1(ctx, C) == 0:
         raise ValueError(
             f"no nonsplit extension exists on F_{ctx.e}: "
             "Ext^1(O, O(C)) = H^1(O(C)) = 0"
         )
-    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=True, ext_dim=ext_dim)
+    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=True)
 
 
 def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
-    """The split direct sum O(C) + O: the negative control."""
-    return ExtensionDatum(
-        sub=C, quot=ZERO, nonsplit=False, ext_dim=cohomology.h1(ctx, C)
-    )
+    """The split direct sum O(C) + O: the negative control.
+
+    It is the same on every surface; ``ctx`` stays for its callers.
+    """
+    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=False)
+
+
+def _default_datum(ctx: SurfaceContext, datum: ExtensionDatum | None) -> ExtensionDatum:
+    return build_extension(ctx) if datum is None else datum
 
 
 def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
@@ -283,18 +289,29 @@ def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, Claim
     except ValueError as exc:
         witness = {"error": str(exc)}
         return None, ClaimRecord("extension", title, "exact", str(exc), None, {}, witness)
+    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
     headline = (
-        f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {datum.ext_dim}; "
+        f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {ext_dim}; "
         f"nonsplit class chosen"
     )
     details = {
         "sub": format_class(datum.sub),
         "quot": format_class(datum.quot),
         "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
-        "ext_dim": datum.ext_dim,
+        "ext_dim": ext_dim,
         "nonsplit": datum.nonsplit,
     }
     return datum, ClaimRecord("extension", title, "exact", headline, None, details)
+
+
+def _restrict_datum(
+    ctx: SurfaceContext, datum: ExtensionDatum
+) -> tuple[SplittingType, SplittingType] | tuple[str, dict]:
+    """(E|_C, E|_F), or the refusal's (headline, witness) when a type is ambiguous."""
+    try:
+        return _leaf_restriction(ctx, datum, C), _leaf_restriction(ctx, datum, F)
+    except AmbiguousExtensionError as exc:
+        return f"restriction type undetermined: {exc}", {"error": str(exc)}
 
 
 def nonsplit_restriction_certificate(
@@ -302,8 +319,10 @@ def nonsplit_restriction_certificate(
 ) -> ClaimRecord:
     """Certifies that the extension stays nonsplit when restricted to C.
 
-    Premises: h^1(O_X) = 0 makes restriction of extension classes to C
-    injective, and h^1 of O_C(C) on C is nonzero so the restricted class
+    Premises: a nonsplit datum needs a nonzero class, so its group
+    Ext^1 = H^1(O(sub - quot)) on the surface is nonzero (``ext_dim`` in a
+    FAIL witness); h^1(O_X) = 0 makes restriction of extension classes to C
+    injective; and h^1 of O_C(C) on C is nonzero so the restricted class
     lands in a group that can hold it.  The record also carries both
     restriction types; on a fiber the extension group vanishes, so the
     restricted sequence splits no matter what.
@@ -317,11 +336,9 @@ def nonsplit_restriction_certificate(
         "O_C_of_C_degree": gap_on_c,
         "h1_O_C_of_C": target_h1,
     }
-    try:
-        res_c = _leaf_restriction(ctx, datum, C)
-        res_f = _leaf_restriction(ctx, datum, F)
-    except AmbiguousExtensionError as exc:
-        headline, witness = f"restriction type undetermined: {exc}", {"error": str(exc)}
+    res_c, res_f = _restrict_datum(ctx, datum)
+    if isinstance(res_c, str):
+        headline, witness = res_c, res_f
     else:
         details["E_restricted_to_C"] = format_splitting(res_c)
         details["E_restricted_to_fiber"] = format_splitting(res_f)
@@ -331,8 +348,11 @@ def nonsplit_restriction_certificate(
             f"E|_fiber = {format_splitting(res_f)} (splits); "
             f"premises h^1(O_X) = {h1_structure}, h^1(O_C(C)) = {target_h1}"
         )
-        ok = h1_structure == 0 and (not datum.nonsplit or target_h1 >= 1)
-        witness = None if ok else {"h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1}
+        ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+        ok = h1_structure == 0 and (not datum.nonsplit or min(ext_dim, target_h1) >= 1)
+        witness = None if ok else {
+            "h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1, "ext_dim": ext_dim
+        }
     title = "restriction of the extension to C and to a fiber"
     return ClaimRecord("restriction", title, "exact", headline, None, details, witness)
 
@@ -366,8 +386,8 @@ class VanishingSpec(NamedTuple):
     ``details`` is the record's details dict, which the evaluator extends; a
     row that rests on a twist identity n*H = n*C + m*F places
     ``_polarization_identity(n, m)`` in it.  ``premises`` are the row's own.
-    ``fiber_multiple`` is the m of the base-row identity
-    h^0(O(m*b*F)) = m*b + 1, or None.  Each (n, m) is written once:
+    ``base_row`` adds the base-row identity h^0(O(m*b*F)) = m*b + 1, with m
+    read from the tower's twist m*b*F.  Each (n, m) is written once:
     ``_PEEL`` for claim3 and charp, and in remark_t's row.  A PASS headline
     is "<mode evidence>; <conclusion>".
     """
@@ -378,28 +398,28 @@ class VanishingSpec(NamedTuple):
     details: dict
     conclusion: str
     premises: tuple[Premise, ...] = ()
-    fiber_multiple: int | None = None
+    base_row: bool = False
 
 
 def _sweep_vanishing(
     ctx: SurfaceContext, tower: Tower, beta_max: int
 ) -> tuple[int, dict | None]:
-    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= 5b; first failure wins.
+    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= n*b; first failure wins.
 
     The tower's base is built once and the tower once per b as a splitting
     type; ``first_section`` then decides every l of that b, twisted by
     ``slope * l``, from the type's top degree at the two ends of the row.
     The splitting type decides each row, never the degree form.  Returns
     the grid points decided up to and including the witness, and the
-    witness with its h^0.
+    witness with its h^0.  n is ``_PEEL``'s.
     """
     base, evaluations = _restrict_base(ctx, tower), 0
     for beta in range(1, beta_max + 1):
         st, slope = _restrict_numeric(ctx, tower, beta, base)
-        ell = st.first_section(slope, 5 * beta)
+        ell = st.first_section(slope, _PEEL[0] * beta)
         if ell is not None:
             return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": st.h0(slope * ell)}
-        evaluations += 5 * beta + 1
+        evaluations += _PEEL[0] * beta + 1
     return evaluations, None
 
 
@@ -410,28 +430,28 @@ def _certify(
 
     It checks the mode and ``beta_max``, then fills in a missing datum.  The
     premises come next, in this order: the ampleness of H, the row's own,
-    its polarization identity, then the base-row identity when the row names
-    a fiber multiple (its evidence goes to ``details["base_row"]`` whatever
-    the outcome).  The first that fails is the FAIL witness and no h^0 is
-    computed.  Otherwise the top degree form of the restriction decides
-    (symbolic mode) or the grid sweep does (sweep mode).
+    its polarization identity, then the base-row identity at the tower's
+    F-twist m when the row sets ``base_row`` (its evidence goes to
+    ``details["base_row"]`` whatever the outcome).  The first that fails is
+    the FAIL witness and no h^0 is computed.  Otherwise the top degree form
+    of the restriction decides (symbolic mode) or the grid sweep over
+    0 <= l <= n*b, n from ``_PEEL``, does (sweep mode).
     """
     _check_mode(mode, beta_max)
-    if spec.tower.datum is None:
-        spec = spec._replace(tower=spec.tower._replace(datum=build_extension(ctx)))
+    tower = spec.tower._replace(datum=_default_datum(ctx, spec.tower.datum))
     details = spec.details
     premises = [_premise("polarization H ample on F_e", ctx.is_ample(H)), *spec.premises]
     if "polarization_identity" in details:
         name = f"polarization identity {details['polarization_identity']}"
         premises.append(_premise(name, details["polarization_identity_holds"]))
-    if spec.fiber_multiple is not None:
-        details["base_row"] = _base_row_identity(ctx, spec.fiber_multiple, beta_max)
+    if spec.base_row:
+        details["base_row"] = _base_row_identity(ctx, tower.b.cb, beta_max)
         premises.append(_premise("base-row identity", details["base_row"]["holds"]))
     for name, holds, witness in premises:
         if not holds:
             headline = f"premise failed: {name}; no h^0 computed"
             return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
-    form, rank = _restrict_symbolic(ctx, spec.tower)
+    form, rank = _restrict_symbolic(ctx, tower)
     details.update(rank=rank, region="b >= 1, l >= 0")
 
     if mode == "symbolic":
@@ -440,7 +460,7 @@ def _certify(
         point = form.nonnegative_witness()
         if point is not None:
             beta, ell = point
-            st, slope = _restrict_numeric(ctx, spec.tower, beta)
+            st, slope = _restrict_numeric(ctx, tower, beta)
             value = st.h0(slope * ell)
             witness = {"beta": beta, "ell": ell, "degree": form(beta, ell), "h0": value}
             headline = (
@@ -448,10 +468,11 @@ def _certify(
                 f"value {form(beta, ell)} at (b, l) = ({beta}, {ell}), h^0 = {value}"
             )
     else:
-        evaluations, witness = _sweep_vanishing(ctx, spec.tower, beta_max)
-        details.update(beta_max=beta_max, ell_range="0..5b", evaluations=evaluations)
+        evaluations, witness = _sweep_vanishing(ctx, tower, beta_max)
+        n = _PEEL[0]
+        details.update(beta_max=beta_max, ell_range=f"0..{n}b", evaluations=evaluations)
         evidence = (
-            f"h^0 = 0 at all {evaluations} grid points with 1 <= b <= {beta_max}, 0 <= l <= 5b"
+            f"h^0 = 0 at all {evaluations} grid points with 1 <= b <= {beta_max}, 0 <= l <= {n}b"
         )
         if witness is not None:
             headline = (
@@ -563,7 +584,7 @@ def base_row_certificate(
             f"H^0 into O({m}bF) is the zero map; "
             f"base row h^0(O({m}bF)) = {m}b + 1 restricts bijectively to C"
         ),
-        fiber_multiple=m,
+        base_row=True,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -673,7 +694,7 @@ def frobenius_certificate(
         premises=(
             _premise(f"boundary {m} - {ALPHA}q <= -1", boundary <= -1, boundary_value=boundary),
         ),
-        fiber_multiple=m,
+        base_row=True,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -702,7 +723,7 @@ def direct_not_psef_certificate(
             **_polarization_identity(n, m),
         },
         conclusion="E itself is not pseudo-effective",
-        fiber_multiple=m,
+        base_row=True,
     )
     return _certify(ctx, spec, mode, beta_max)
 
@@ -718,14 +739,10 @@ def almost_nef_evidence(
     candidate exceptional locus.  This is evidence for almost nefness, not
     a proof: no other curves are controlled here.
     """
-    if datum is None:
-        datum = build_extension(ctx)
-    try:
-        fiber_type = _leaf_restriction(ctx, datum, F)
-        c_type = _leaf_restriction(ctx, datum, C)
-    except AmbiguousExtensionError as exc:
-        headline, details = f"restriction type undetermined: {exc}", {}
-        witness = {"error": str(exc)}
+    datum = _default_datum(ctx, datum)
+    c_type, fiber_type = _restrict_datum(ctx, datum)
+    if isinstance(c_type, str):
+        headline, witness, details = c_type, fiber_type, {}
     else:
         split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
         rows = [
@@ -736,11 +753,10 @@ def almost_nef_evidence(
                 ("C (split control)", split_on_c),
             )
         ]
-        headline = (
-            f"E|_fiber = {format_splitting(fiber_type)} nef, "
-            f"E|_C = {format_splitting(c_type)} not nef; C is the exceptional "
-            "curve (evidence, not proof)"
-        )
+        headline = ", ".join(
+            f"E|_{row['curve']} = {row['type']} {'nef' if row['nef'] else 'not nef'}"
+            for row in rows[:2]
+        ) + "; C is the exceptional curve (evidence, not proof)"
         details = {
             "restrictions": rows,
             "label": "evidence, not proof",
@@ -767,7 +783,8 @@ class VerificationReport(NamedTuple):
 
     The verdict is derived from the records, never stored: ``overall`` is
     PASS exactly when every record passes, and ``conclusion`` is "not
-    pseudo-effective" only then.
+    pseudo-effective" only then.  ``notes`` holds the charp note exactly
+    when a charp record exists.
     """
 
     e: int
@@ -775,7 +792,6 @@ class VerificationReport(NamedTuple):
     mode: str
     beta_max: int | None
     records: list[ClaimRecord]
-    notes: list[str]
 
     @property
     def overall(self) -> str:
@@ -784,6 +800,10 @@ class VerificationReport(NamedTuple):
     @property
     def conclusion(self) -> str:
         return "not pseudo-effective" if self.overall == PASS else "not certified"
+
+    @property
+    def notes(self) -> list[str]:
+        return [_CHARP_NOTE] if any(r.claim_id == "charp" for r in self.records) else []
 
     def claims(self) -> list[ClaimRecord]:
         return [r for r in self.records if r.claim_id not in _SETUP_IDS]
@@ -838,7 +858,6 @@ def run_full_replay(
     _check_mode(mode, beta_max)
     if characteristic != 0 and not is_prime(characteristic):
         raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
-    notes: list[str] = []
     datum, extension = _extension_record(ctx)
     records = [extension]
     if datum is not None:
@@ -851,11 +870,6 @@ def run_full_replay(
             records += [peeling, base_row, sigma]
         else:
             records.append(frobenius_certificate(ctx, characteristic, datum, mode, beta_max))
-            notes.append(
-                "characteristic > 0: whether pseudo-effectivity of E passes to "
-                "its symmetric powers is unknown, so the conclusion for the "
-                "twisted bundle goes through the Frobenius pullback instead"
-            )
         records.append(direct_not_psef_certificate(ctx, datum, mode, beta_max))
         records.append(almost_nef_evidence(ctx, datum))
-    return VerificationReport(ctx.e, characteristic, mode, beta_max, records, notes)
+    return VerificationReport(ctx.e, characteristic, mode, beta_max, records)

@@ -41,21 +41,29 @@ def _record(rep, claim_id):
 
 def test_build_extension():
     datum = build_extension(CTX2)
-    assert datum.ext_dim == 1 and datum.nonsplit
-    assert datum.sub == C and datum.quot == DivisorClass(0, 0)
-    assert build_extension(SurfaceContext(3)).ext_dim == 2
+    assert v.ExtensionDatum._fields == ("sub", "quot", "nonsplit")
+    assert datum == v.ExtensionDatum(C, DivisorClass(0, 0), True)
+    assert build_extension(SurfaceContext(3)) == datum  # the class is the same on every F_e
+    assert v._extension_record(CTX2)[1].details["ext_dim"] == 1  # read from the surface
     with pytest.raises(ValueError, match="no nonsplit extension"):
         build_extension(SurfaceContext(1))
     with pytest.raises(ValueError, match="no nonsplit extension"):
         build_extension(SurfaceContext(0))
 
 
-def test_extension_datum_checks_ext_dim():
+def test_restriction_certificate_reads_ext_dim():
+    # h^1(O(-C-4F)) = 0 on F_2, so no nonsplit extension of O by O(-C-4F)
+    # exists, although its degree gap -2 on C alone would hold one
+    empty = v.ExtensionDatum(-C - 4 * F, DivisorClass(0, 0), True)
+    rec = nonsplit_restriction_certificate(CTX2, empty)
+    assert not rec.passed
+    assert rec.witness == {"h1_structure_sheaf": 0, "h1_O_C_of_C": 1, "ext_dim": 0}
     datum = build_extension(CTX2)
-    with pytest.raises(ValueError, match="ext_dim >= 1"):
-        v.ExtensionDatum(C, DivisorClass(0, 0), True, 0)
-    assert v.ExtensionDatum(C, DivisorClass(0, 0), False, 0).ext_dim == 0
     assert datum._replace(nonsplit=False) == split_control_datum(CTX2)
+    for passing in (datum, split_control_datum(CTX2)):
+        rec = nonsplit_restriction_certificate(CTX2, passing)
+        assert rec.passed and "ext_dim" not in rec.details
+    assert v._extension_record(SurfaceContext(3))[1].details["ext_dim"] == 2
     with pytest.raises(AttributeError):
         datum.nonsplit = False
 
@@ -436,18 +444,23 @@ def test_base_row_oracle_covers_beta_up_to_its_bound():
     # both routes check every listed beta, past the lattice oracle's bound too
     for name in ("claim4_m15", "claim4_m16", "charp_p3", "remark_t"):
         certificate, args, kwargs, _ = _TOWERS[name]
-        m = _spec(certificate, *args, **kwargs).fiber_multiple
+        m = _spec(certificate, *args, **kwargs).tower.b.cb
         info = v._base_row_identity(CTX2, m, 1000)
         assert info["holds"] and info["checked_betas"] == list(range(1, 1001))
 
 
 def test_rows_agree_on_their_twist_numbers():
-    # every base-row tower twists by its own fiber multiple, and claim3 and
-    # claim4 (so sigma) meet at one multiple of F
+    # every base-row tower twists by a multiple m*b*F alone and its base-row
+    # identity is read at that m, and claim3 and claim4 (so sigma) meet at
+    # one multiple of F
+    assert "fiber_multiple" not in v.VanishingSpec._fields
     for name, (certificate, args, kwargs, _) in _TOWERS.items():
         spec = _spec(certificate, *args, **kwargs)
-        if spec.fiber_multiple is not None:
-            assert spec.tower.b == BETA.scale(spec.fiber_multiple), name
+        if spec.base_row:
+            m = spec.tower.b.cb
+            assert spec.tower.b == BETA.scale(m), name
+            identity = certificate(CTX2, *args, **kwargs).details["base_row"]["identity"]
+            assert identity.startswith(f"h0(O({m}b F)) = {m}b + 1"), name
     claim3 = _spec(peeling_vanishing_certificate)
     assert claim3.tower.b == _spec(base_row_certificate).tower.b
     charp = _spec(frobenius_certificate, 2)
@@ -660,6 +673,18 @@ def test_almost_nef_evidence():
     assert rec.details["label"] == "evidence, not proof"
 
 
+def test_almost_nef_headline_reads_its_rows():
+    assert almost_nef_evidence(CTX2).headline == (
+        "E|_fiber = [0,1] nef, E|_C = [-1,-1] not nef; C is the exceptional "
+        "curve (evidence, not proof)"
+    )
+    # O(-C) + O is not nef on a fiber and is nef on C: the FAIL says so
+    rec = almost_nef_evidence(CTX2, v.ExtensionDatum(-C, DivisorClass(0, 0), False))
+    assert not rec.passed
+    assert [row["nef"] for row in rec.details["restrictions"][:2]] == [False, True]
+    assert rec.headline.startswith("E|_fiber = [-1,0] not nef, E|_C = [0,2] nef; ")
+
+
 def test_almost_nef_evidence_at_gap_minus_3():
     rec = almost_nef_evidence(SurfaceContext(3))
     assert rec.passed
@@ -728,6 +753,9 @@ def test_full_replay_char_p():
     assert _record(rep, "charp").details["frobenius_exponent"] == 1
     assert _record(rep, "claim3") is None
     assert any("characteristic > 0" in note for note in rep.notes)
+    assert "notes" not in v.VerificationReport._fields
+    assert run_full_replay(CTX2, 0, "symbolic").notes == []
+    assert run_full_replay(SurfaceContext(1), 7, "symbolic").notes == []  # no charp record
     assert [r.claim_id for r in rep.records] == [
         "extension",
         "restriction",
