@@ -70,16 +70,19 @@ class SplittingType(Value):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "SplittingType":
-        """Build from (degree, multiplicity) pairs; multiplicities must be > 0."""
+        """Build from (degree, multiplicity) pairs; multiplicities must be > 0.
+
+        Pairs may come in any order and repeat a degree; zero multiplicities
+        are dropped.  This and ``SplittingType(degrees)`` are the checked
+        entry points for outside input.
+        """
         counts: dict[int, int] = {}
         for d, r in pairs:
             if r < 0:
                 raise ValueError(f"negative multiplicity {r} for degree {d}")
             if r:
                 counts[d] = counts.get(d, 0) + r
-        st = cls.__new__(cls)
-        object.__setattr__(st, "_pairs", tuple(sorted(counts.items())))
-        return st
+        return _from_sorted(tuple(sorted(counts.items())))
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -146,13 +149,13 @@ class SplittingType(Value):
 
     def twist(self, n: int) -> "SplittingType":
         """Tensor with O(n): shift every degree by n."""
-        return SplittingType.from_pairs((d + n, r) for d, r in self._pairs)
+        return _from_sorted(tuple([(d + n, r) for d, r in self._pairs]))
 
     def frobenius_pullback(self, q: int) -> "SplittingType":
         """Pull back by the q-power Frobenius: multiply every degree by q."""
         if q < 2:
             raise ValueError(f"Frobenius power must be >= 2, got {q}")
-        return SplittingType.from_pairs((d * q, r) for d, r in self._pairs)
+        return _from_sorted(tuple([(d * q, r) for d, r in self._pairs]))
 
     def sym_power(self, m: int) -> "SplittingType":
         """The m-th symmetric power.
@@ -167,12 +170,16 @@ class SplittingType(Value):
         if m < 0:
             raise ValueError(f"symmetric power wants a nonnegative exponent, got {m}")
         if m == 0:
-            return SplittingType((0,))
+            return _from_sorted(((0, 1),))
         if m == 1 or not self._pairs:
             return self
         pairs = self._pairs
         if len(pairs) == 1:
             d, r = pairs[0]
+            # kept on the checked entry point: nearly every symmetric power
+            # the replay takes is this one, and building it unchecked sped the
+            # replay up until the benchmark's per-op samples raised its peak
+            # RSS past +4% (ROADMAP item 1)
             return SplittingType.from_pairs([(m * d, _sym_rank(r, m))])
         n_monomials = _sym_rank(self.rank, m)
         a, s = pairs[0][0], pairs[1][0] - pairs[0][0]
@@ -186,7 +193,25 @@ class SplittingType(Value):
         sums = Counter(
             sum(combo) for combo in combinations_with_replacement(self.degrees(), m)
         )
-        return SplittingType.from_pairs(sums.items())
+        return _from_sorted(tuple(sorted(sums.items())))
+
+
+# Set the one slot directly, as hirzebruch's _set_a does.
+_set_pairs = SplittingType._pairs.__set__
+
+
+def _from_sorted(pairs: tuple[tuple[int, int], ...]) -> SplittingType:
+    """The type with these pairs: sorted by distinct degree, multiplicities >= 1.
+
+    Nothing is checked.  Every type this module derives from another keeps
+    that order by construction: a twist adds n and a Frobenius pullback
+    multiplies by q >= 2, so both keep the degrees strictly increasing; S^0
+    is the one pair (0, 1); a progression's degrees m*a + s*j increase with
+    j; an enumeration sorts its counts once.
+    """
+    st = object.__new__(SplittingType)
+    _set_pairs(st, pairs)
+    return st
 
 
 def _progression_power(a: int, s: int, n: int, m: int) -> SplittingType:
@@ -220,7 +245,8 @@ def _progression_power(a: int, s: int, n: int, m: int) -> SplittingType:
         # over (1 - q^i): a prefix sum along each residue class mod i
         for r in range(i):
             coeffs[r::i] = accumulate(coeffs[r::i])
-    return SplittingType.from_pairs((m * a + s * j, c) for j, c in enumerate(coeffs))
+    # every coefficient of a Gaussian binomial up to its degree n*m is >= 1
+    return _from_sorted(tuple(zip(range(m * a, m * a + s * size, s), coeffs)))
 
 
 def _sym_rank(r: int, m: int) -> int:
@@ -354,7 +380,14 @@ def parse_splitting(text: str) -> SplittingType:
 
 
 def format_splitting(s: SplittingType) -> str:
-    """Canonical text form; round-trips through parse_splitting when expanded."""
+    """Canonical text form; round-trips through parse_splitting when expanded.
+
+    The expanded form writes each degree once per summand, from one ``str``
+    per pair.
+    """
     if s.rank <= _FORMAT_EXPAND_LIMIT:
-        return "[" + ",".join(str(d) for d in s.degrees()) + "]"
+        texts: list[str] = []
+        for d, r in s.pairs:
+            texts += [str(d)] * r
+        return "[" + ",".join(texts) + "]"
     return "[" + ", ".join(f"{d} x {r}" for d, r in s.pairs) + "]"

@@ -97,7 +97,7 @@ class ExtensionDatum(NamedTuple):
     ``nonsplit`` records whether a nonzero class of Ext^1(O(quot), O(sub))
     = H^1(O(sub - quot)) was taken.  The group's dimension is read from the
     surface where it is needed, never stored; the restriction certificate
-    FAILs a nonsplit datum whose group is 0.
+    and every h^0 = 0 certificate FAIL a nonsplit datum whose group is 0.
     """
 
     sub: DivisorClass
@@ -429,8 +429,10 @@ def _certify(
     """Evaluate a vanishing certificate with one rule.
 
     It checks the mode and ``beta_max``, then fills in a missing datum.  The
-    premises come next, in this order: the ampleness of H, the row's own,
-    its polarization identity, then the base-row identity at the tower's
+    premises come next, in this order: the ampleness of H, a nonzero
+    extension class for a nonsplit datum (h^1(O(sub - quot)) >= 1, with
+    ``ext_dim`` in its FAIL witness), the row's own, its polarization
+    identity, then the base-row identity at the tower's
     F-twist m when the row sets ``base_row`` (its evidence goes to
     ``details["base_row"]`` whatever the outcome).  The first that fails is
     the FAIL witness and no h^0 is computed.  Otherwise the top degree form
@@ -438,9 +440,19 @@ def _certify(
     0 <= l <= n*b, n from ``_PEEL``, does (sweep mode).
     """
     _check_mode(mode, beta_max)
-    tower = spec.tower._replace(datum=_default_datum(ctx, spec.tower.datum))
+    datum = _default_datum(ctx, spec.tower.datum)
+    tower = spec.tower._replace(datum=datum)
     details = spec.details
-    premises = [_premise("polarization H ample on F_e", ctx.is_ample(H)), *spec.premises]
+    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+    premises = [
+        _premise("polarization H ample on F_e", ctx.is_ample(H)),
+        _premise(
+            "nonsplit class exists: h^1(O(sub - quot)) >= 1",
+            not datum.nonsplit or ext_dim >= 1,
+            ext_dim=ext_dim,
+        ),
+        *spec.premises,
+    ]
     if "polarization_identity" in details:
         name = f"polarization identity {details['polarization_identity']}"
         premises.append(_premise(name, details["polarization_identity_holds"]))

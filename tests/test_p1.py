@@ -297,6 +297,87 @@ def test_sym_power_rank_budget():
         assert st.pairs == ((-m, comb(r + m - 1, m)),)
 
 
+# -- derived types are built from their pairs unchecked -------------------
+
+
+def _assert_canonical(s):
+    # what the checked entry point would build from the same pairs, and the
+    # invariant the unchecked constructor relies on
+    assert s.pairs == SplittingType.from_pairs(s.pairs).pairs
+    assert s == SplittingType.from_pairs(s.pairs)
+    assert hash(s) == hash(SplittingType.from_pairs(s.pairs))
+    assert all(d1 < d2 for (d1, _), (d2, _) in zip(s.pairs, s.pairs[1:]))
+    assert all(r >= 1 for _, r in s.pairs)
+
+
+aggregated_types = st.lists(
+    st.tuples(st.integers(-30, 30), st.integers(0, 4)), max_size=6
+).map(SplittingType.from_pairs)
+
+
+@given(aggregated_types, st.integers(-50, 50), st.integers(2, 9))
+def test_twist_and_pullback_keep_canonical_pairs(s, n, q):
+    _assert_canonical(s.twist(n))
+    _assert_canonical(s.frobenius_pullback(q))
+    assert s.twist(n).rank == s.frobenius_pullback(q).rank == s.rank
+
+
+@given(aggregated_types, st.integers(-20, 20), st.integers(1, 30), st.integers(2, 8))
+def test_sym_power_m0_and_balanced_keep_canonical_pairs(s, d, r, m):
+    _assert_canonical(s.sym_power(0))
+    balanced = SplittingType.from_pairs([(d, r)]).sym_power(m)
+    _assert_canonical(balanced)
+    assert balanced.pairs == ((m * d, comb(r + m - 1, m)),)
+
+
+@given(st.integers(-20, 20), st.integers(1, 5), st.integers(1, 8), st.integers(2, 12))
+@example(0, 1, 1, 2)
+@example(-3, 2, 8, 12)
+def test_progression_power_keeps_canonical_pairs(a, s, n, m):
+    # every Gaussian-binomial coefficient of degree 0..n*m is a pair
+    prog = SplittingType(range(a, a + s * (n + 1), s))
+    out = prog.sym_power(m)
+    _assert_canonical(out)
+    assert [d for d, _ in out.pairs] == list(range(m * a, m * a + s * n * m + 1, s))
+    assert out == _sym_oracle(prog.degrees(), m)
+
+
+@given(
+    st.lists(st.integers(-8, 8), min_size=2, max_size=4).map(SplittingType),
+    st.integers(2, 5),
+)
+@example(SplittingType((0, 0, 1)), 2)
+@example(SplittingType((0, 1, 3)), 3)
+def test_enumerated_sym_power_keeps_canonical_pairs(s, m):
+    out = s.sym_power(m)
+    _assert_canonical(out)
+    if len(s.pairs) >= 2 and not _is_progression(s):  # the enumeration route
+        assert out == _sym_oracle(s.degrees(), m)
+
+
+def _format_reference(s):
+    return "[" + ",".join(map(str, s.degrees())) + "]"
+
+
+@given(aggregated_types, st.integers(-3, 3))
+def test_format_splitting_matches_expanded_degrees(s, n):
+    for t in (s, s.twist(n), s.sym_power(2)):
+        assert format_splitting(t) == _format_reference(t)
+
+
+def test_format_splitting_switches_to_pairs_past_rank_1000():
+    at_limit = SplittingType.from_pairs([(-3, 600), (7, 399), (12, 1)])
+    assert at_limit.rank == 1000
+    assert format_splitting(at_limit) == _format_reference(at_limit)
+    assert format_splitting(at_limit).count(",") == 999
+    past = SplittingType.from_pairs([(-3, 600), (7, 401)])
+    assert format_splitting(past) == "[-3 x 600, 7 x 401]"
+    assert format_splitting(SplittingType((-1, -1)).sym_power(1000)) == "[-1000 x 1001]"
+    assert format_splitting(SplittingType((-1, -1)).sym_power(999)) == (
+        "[" + ",".join(["-999"] * 1000) + "]"
+    )
+
+
 def test_frobenius_pullback():
     assert SplittingType((-1, -1)).frobenius_pullback(4) == SplittingType((-4, -4))
     assert SplittingType((0,)).frobenius_pullback(7) == SplittingType((0,))

@@ -68,6 +68,39 @@ def test_restriction_certificate_reads_ext_dim():
         datum.nonsplit = False
 
 
+def _vanishing_records(datum, mode, beta_max):
+    return (
+        peeling_vanishing_certificate(CTX2, datum, mode, beta_max),
+        base_row_certificate(CTX2, datum, mode, beta_max),
+        frobenius_certificate(CTX2, 3, datum, mode, beta_max),
+        direct_not_psef_certificate(CTX2, datum, mode, beta_max),
+    )
+
+
+@pytest.mark.parametrize("mode,beta_max", (("symbolic", None), ("sweep", 4)))
+def test_vanishing_certificates_refuse_a_datum_without_a_class(monkeypatch, mode, beta_max):
+    # called directly, without the restriction record's gate: h^1(O(-C-4F)) = 0
+    name = "nonsplit class exists: h^1(O(sub - quot)) >= 1"
+    empty = v.ExtensionDatum(-C - 4 * F, DivisorClass(0, 0), True)
+    for rec in _vanishing_records(empty, mode, beta_max):
+        assert not rec.passed, rec.claim_id
+        assert rec.witness == {"error": f"{name} failed", "ext_dim": 0}, rec.claim_id
+        assert rec.headline == f"premise failed: {name}; no h^0 computed"
+        assert rec.degree_form is None and "evaluations" not in rec.details
+    # the same pair split needs no class, and the replay's datum has one
+    for datum in (empty._replace(nonsplit=False), build_extension(CTX2)):
+        for rec in _vanishing_records(datum, mode, beta_max):
+            assert rec.witness is None or "ext_dim" not in rec.witness, rec.claim_id
+    # it comes right after ampleness: first when H is ample but breaks the
+    # polarization identities, second when H is not ample
+    monkeypatch.setattr(v, "H", C + 4 * F)
+    for rec in _vanishing_records(empty, mode, beta_max):
+        assert rec.witness == {"error": f"{name} failed", "ext_dim": 0}, rec.claim_id
+    monkeypatch.setattr(v, "H", C + 2 * F)
+    for rec in _vanishing_records(empty, mode, beta_max):
+        assert rec.witness == {"error": "polarization H ample on F_e failed"}, rec.claim_id
+
+
 def test_restriction_certificate():
     rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
     assert rec.passed
