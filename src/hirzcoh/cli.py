@@ -10,6 +10,17 @@ Each ``_cmd_*`` returns its exit code and every line of its output and
 prints nothing; ``main`` alone writes stdout, after the command has
 finished, so a refusal at any step leaves stdout empty.
 
+The command line is read from the ``_COMMANDS`` table, not by argparse,
+whose import and first parser build (which loads ``gettext`` and
+``locale`` and asks for the terminal size) cost each cold command about
+6 ms.  An option takes the next word as its value, even one that starts
+with ``-``, or is written ``--name=value``; options may come before or
+after the positionals, and ``--`` ends them.  An unknown or abbreviated
+option, a missing value, a repeated option and a missing or extra
+positional raise ValueError, so they exit 2 like every other refusal, and
+``main`` never raises SystemExit.  ``-h`` or ``--help`` prints the usage
+of the command, or of ``hirzcoh``, on stdout and exits 0.
+
 Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
 to be excluded from golden comparisons).  JSON reports carry no timestamp
@@ -36,7 +47,6 @@ that the collector still walks.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -52,26 +62,16 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _int_type(text: str) -> int:
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _char_type(text: str) -> int:
+def _parse_char(text: str) -> int:
     from .primes import is_prime
 
     try:
         value = parse_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"characteristic must be an integer, got {text!r}")
-    try:
-        prime = value == 0 or is_prime(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not prime:
-        raise argparse.ArgumentTypeError(f"characteristic must be 0 or a prime, got {value}")
+        raise ValueError(f"characteristic must be an integer, got {text!r}") from None
+    # is_prime refuses a value past its deterministic bound with ValueError
+    if value != 0 and not is_prime(value):
+        raise ValueError(f"characteristic must be 0 or a prime, got {value}")
     return value
 
 
@@ -95,11 +95,11 @@ def _class_line(ctx: SurfaceContext, d: DivisorClass) -> str:
     return f"class: {format_class(d)} = (a={d.a}, b={d.b}) on F_{ctx.e}"
 
 
-def _cmd_coh(args: argparse.Namespace) -> tuple[int, list[str]]:
+def _cmd_coh(klass: str, *, e: int, char: int | None) -> tuple[int, list[str]]:
     from . import cohomology
 
-    ctx = SurfaceContext(args.e)
-    d = parse_class(args.klass)
+    ctx = SurfaceContext(e)
+    d = parse_class(klass)
     values = [
         f"h0={cohomology.h0(ctx, d)}",
         f"h1={cohomology.h1(ctx, d)}",
@@ -111,14 +111,14 @@ def _cmd_coh(args: argparse.Namespace) -> tuple[int, list[str]]:
         values.append(f"oracle_h0={cohomology.brute_force_h0(ctx, d)}")
     except ValueError as exc:
         notes.append(f"note: oracle column skipped: {exc}")
-    if args.char is not None:
+    if char is not None:
         notes.append(_CHAR_NOTE)
     return 0, [_class_line(ctx, d), " ".join(values), _cone_line(ctx, d), *notes]
 
 
-def _cmd_cone(args: argparse.Namespace) -> tuple[int, list[str]]:
-    ctx = SurfaceContext(args.e)
-    d = parse_class(args.klass)
+def _cmd_cone(klass: str, *, e: int) -> tuple[int, list[str]]:
+    ctx = SurfaceContext(e)
+    d = parse_class(klass)
     return 0, [
         _class_line(ctx, d),
         _cone_line(ctx, d),
@@ -164,14 +164,14 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
     raise ValueError(f"unknown operation {name!r}: expected sym, twist or frob")
 
 
-def _cmd_split(args: argparse.Namespace) -> tuple[int, list[str]]:
+def _cmd_split(bundle: str, *ops: str) -> tuple[int, list[str]]:
     from .p1 import format_splitting
 
-    st = _parse_split_input(args.bundle)
-    for token in args.ops:
+    st = _parse_split_input(bundle)
+    for token in ops:
         st = _apply_op(st, token)
     return 0, [
-        " ".join([args.bundle, *args.ops]).strip(),
+        " ".join([bundle, *ops]).strip(),
         f"= {format_splitting(st)}",
         f"rank={st.rank} h0={st.h0()} h1={st.h1()}",
     ]
@@ -212,90 +212,170 @@ def render_report(report: VerificationReport, timestamp: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
+def _cmd_verify(
+    *, e: int, char: int, mode: str, beta_max: int | None, json_path: str | None
+) -> tuple[int, list[str]]:
     import time
 
     from .verifier import run_full_replay
 
-    ctx = SurfaceContext(args.e)
-    report = run_full_replay(ctx, args.char, args.mode, args.beta_max)
+    ctx = SurfaceContext(e)
+    report = run_full_replay(ctx, char, mode, beta_max)
     # the file is written before main prints: a reader that quits early
     # cannot stop it from being written
-    if args.json:
+    if json_path:
         import json
         from pathlib import Path
 
         payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
         try:
-            Path(args.json).write_text(payload, encoding="utf-8")
+            Path(json_path).write_text(payload, encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write JSON report: {exc}") from None
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return (0 if report.overall == "PASS" else 1), [render_report(report, stamp)]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hirzcoh",
-        description=(
-            "Exact line-bundle cohomology and positivity cones on Hirzebruch "
-            "surfaces, plus a certified replay showing the nonsplit extension "
-            "of O by O(C) on F_2 is almost nef but not pseudo-effective. "
-            "Run without a subcommand for the characteristic-0 symbolic replay."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command")
+_USAGE = """\
+usage: hirzcoh [COMMAND] [OPTION ...] [ARG ...]
 
-    coh = sub.add_parser("coh", help="cohomology table for a divisor class")
-    coh.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
-    coh.add_argument("--char", type=_char_type, default=None, help="characteristic (informational)")
-    coh.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
-    coh.set_defaults(run=_cmd_coh)
+Exact line-bundle cohomology and positivity cones on Hirzebruch surfaces,
+plus a certified replay showing the nonsplit extension of O by O(C) on F_2
+is almost nef but not pseudo-effective.  Without a command, hirzcoh runs
+the characteristic-0 symbolic replay, as 'hirzcoh verify' does.
 
-    cone = sub.add_parser("cone", help="positivity-cone membership for a divisor class")
-    cone.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
-    cone.add_argument("klass", metavar="CLASS", help="divisor class, e.g. 'C+3F'")
-    cone.set_defaults(run=_cmd_cone)
+commands:
+  coh      cohomology table for a divisor class
+  cone     positivity-cone membership for a divisor class
+  split    splitting-type calculator on P^1
+  verify   run the certificate replay
 
-    split = sub.add_parser("split", help="splitting-type calculator on P^1")
-    split.add_argument(
-        "bundle",
-        metavar="TYPE",
-        help="splitting type '[d1,d2,...]' or 'ext(sub,quot,split|nonsplit)'",
-    )
-    split.add_argument(
-        "ops",
-        nargs="*",
-        metavar="OP",
-        help="operations sym:m, twist:d, frob:q, applied left to right",
-    )
-    split.set_defaults(run=_cmd_split)
+An option takes the next word as its value, or is written --name=value.
+Options may come before or after the arguments; '--' ends them.
+'hirzcoh COMMAND -h' shows the options of a command."""
 
-    verify = sub.add_parser("verify", help="run the certificate replay")
-    verify.add_argument("-e", type=_int_type, default=2, help="Hirzebruch twist (default 2)")
-    verify.add_argument("--char", type=_char_type, default=0, help="0 or a prime (default 0)")
-    verify.add_argument("--mode", choices=("symbolic", "sweep"), default="symbolic")
-    verify.add_argument(
-        "--beta-max", type=_int_type, default=None, help="grid bound (sweep mode only)"
-    )
-    verify.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
-    verify.set_defaults(run=_cmd_verify)
-    return parser
+_TWIST_HELP = "  -e N          Hirzebruch twist (default 2)\n"
+_HELP_HELP = "  -h, --help    show this help"
+
+#: Each command: its run function, its options as flag -> (keyword of the
+#: run function, parser, default), the names of the positionals it needs,
+#: whether it takes any number of positionals after those, and its help.
+#: The run function takes the positionals in order and every option by
+#: keyword.
+_COMMANDS = {
+    "coh": (
+        _cmd_coh,
+        {"-e": ("e", parse_int, 2), "--char": ("char", _parse_char, None)},
+        ("CLASS",),
+        False,
+        "usage: hirzcoh coh [-e N] [--char P] [--] CLASS\n\n"
+        "cohomology table for a divisor class\n\n"
+        "  CLASS         divisor class, e.g. 'C+3F'\n"
+        + _TWIST_HELP
+        + "  --char P      characteristic, 0 or a prime (informational)\n"
+        + _HELP_HELP,
+    ),
+    "cone": (
+        _cmd_cone,
+        {"-e": ("e", parse_int, 2)},
+        ("CLASS",),
+        False,
+        "usage: hirzcoh cone [-e N] [--] CLASS\n\n"
+        "positivity-cone membership for a divisor class\n\n"
+        "  CLASS         divisor class, e.g. 'C+3F'\n" + _TWIST_HELP + _HELP_HELP,
+    ),
+    "split": (
+        _cmd_split,
+        {},
+        ("TYPE",),
+        True,
+        "usage: hirzcoh split [--] TYPE [OP ...]\n\n"
+        "splitting-type calculator on P^1\n\n"
+        "  TYPE          splitting type '[d1,d2,...]' or 'ext(sub,quot,split|nonsplit)'\n"
+        "  OP            operations sym:m, twist:d, frob:q, applied left to right\n"
+        + _HELP_HELP,
+    ),
+    "verify": (
+        _cmd_verify,
+        {
+            "-e": ("e", parse_int, 2),
+            "--char": ("char", _parse_char, 0),
+            "--mode": ("mode", str, "symbolic"),
+            "--beta-max": ("beta_max", parse_int, None),
+            "--json": ("json_path", str, None),
+        },
+        (),
+        False,
+        "usage: hirzcoh verify [-e N] [--char P] [--mode M] [--beta-max N] [--json PATH]\n\n"
+        "run the certificate replay\n\n"
+        + _TWIST_HELP
+        + "  --char P      0 or a prime (default 0)\n"
+        "  --mode M      symbolic or sweep (default symbolic)\n"
+        "  --beta-max N  grid bound, 1 to 1000 (sweep mode only)\n"
+        "  --json PATH   write the JSON report here\n" + _HELP_HELP,
+    ),
+}
+
+
+def _help(text: str) -> tuple[int, list[str]]:
+    return 0, [text]
+
+
+def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, object]]:
+    """The run function of the command ``argv`` names, with its positionals and options.
+
+    Every grammar error raises ValueError.  ``-h`` or ``--help`` yields a
+    run function that returns the usage instead.
+    """
+    name, *rest = argv or ["verify"]
+    if name in ("-h", "--help"):
+        return _help, [_USAGE], {}
+    if name not in _COMMANDS:
+        raise ValueError(f"unknown command {name!r}: expected coh, cone, split or verify")
+    run, options, needed, variadic, usage = _COMMANDS[name]
+    kwargs = {field: default for field, _, default in options.values()}
+    given, args = set(), []
+    words = iter(rest)
+    for word in words:
+        if word == "--":
+            args.extend(words)
+        elif word in ("-h", "--help"):
+            return _help, [usage], {}
+        elif word.startswith("-"):
+            flag, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
+            if flag not in options:
+                raise ValueError(f"{name}: unknown option {flag!r}")
+            if flag in given:
+                raise ValueError(f"{name}: option {flag} given twice")
+            if not eq:
+                value = next(words, None)
+                if value is None:
+                    raise ValueError(f"{name}: option {flag} needs a value")
+            given.add(flag)
+            field, parse, _ = options[flag]
+            try:
+                kwargs[field] = parse(value)
+            except ValueError as exc:
+                raise ValueError(f"argument {flag}: {exc}") from None
+        else:
+            args.append(word)
+    if len(args) < len(needed):
+        raise ValueError(f"{name}: missing {needed[len(args)]}")
+    if len(args) > len(needed) and not variadic:
+        raise ValueError(f"{name}: unexpected argument {args[len(needed)]!r}")
+    return run, args, kwargs
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        args = parser.parse_args(["verify"])
     try:
+        run, args, kwargs = _read_command(sys.argv[1:] if argv is None else argv)
         # every line is built before any is written, so a refusal at any
         # step exits 2 with an empty stdout
-        code, lines = args.run(args)
+        code, lines = run(*args, **kwargs)
         print("\n".join(lines))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except ValueError as exc:  # the parse errors of every grammar subclass ValueError
+    except ValueError as exc:  # every usage error and every grammar's parse error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -156,9 +156,11 @@ def test_coh_char_note(capsys):
 
 
 def test_coh_rejects_composite_char(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["coh", "--char", "6", "C"])
-    assert exc.value.code == 2
+    assert run(capsys, "coh", "--char", "6", "C") == (
+        2,
+        "",
+        "error: argument --char: characteristic must be 0 or a prime, got 6\n",
+    )
 
 
 def test_large_prime_characteristic(capsys):
@@ -172,9 +174,12 @@ def test_large_prime_characteristic(capsys):
 
 def test_strong_pseudoprime_characteristic_is_refused(capsys):
     # 399165290221 * 798330580441 passes Miller-Rabin on every base 2..37
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--char", "318665857834031151167461"])
-    assert exc.value.code == 2
+    assert run(capsys, "verify", "--char", "318665857834031151167461") == (
+        2,
+        "",
+        "error: argument --char: characteristic must be 0 or a prime, "
+        "got 318665857834031151167461\n",
+    )
 
 
 def test_prime_just_below_primality_bound(capsys):
@@ -185,10 +190,12 @@ def test_prime_just_below_primality_bound(capsys):
 
 def test_characteristic_past_primality_bound_exits_2(capsys):
     for sub in (["verify"], ["coh", "C"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*sub[:1], "--char", "5000000000000000000000001", *sub[1:]])
-        assert exc.value.code == 2
-        assert "too large" in capsys.readouterr().err
+        assert run(capsys, *sub[:1], "--char", "5000000000000000000000001", *sub[1:]) == (
+            2,
+            "",
+            "error: argument --char: 5000000000000000000000001 is too large: "
+            "primality is decided only below 3317044064679887385961981\n",
+        )
 
 
 def test_cone(capsys):
@@ -348,9 +355,80 @@ def test_verify_usage_errors(capsys):
         "",
         "error: beta_max is only meaningful in sweep mode\n",
     )
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--char", "4"])
-    assert exc.value.code == 2
+    assert run(capsys, "verify", "--char", "4") == (
+        2,
+        "",
+        "error: argument --char: characteristic must be 0 or a prime, got 4\n",
+    )
+
+
+# each command line with what it must give: another command line whose exit
+# code and stdout it must match, its one line of stderr for a refusal (exit
+# 2, empty stdout), or the start of its usage on stdout (exit 0, no stderr)
+GRAMMAR = {
+    "long_option_with_equals": (("coh", "--char=3", "C"), ("coh", "--char", "3", "C")),
+    "option_after_positional": (("coh", "C", "-e", "3"), ("coh", "-e", "3", "C")),
+    "class_after_double_dash": (("coh", "--", "-2C-4F"), ("coh", "-e", "2", "--", "-2C-4F")),
+    "split_after_double_dash": (("split", "--", "[0,1]", "sym:2"), ("split", "[0,1]", "sym:2")),
+    "no_command": ((), ("verify",)),
+    "unknown_command": (
+        ("frob",),
+        "error: unknown command 'frob': expected coh, cone, split or verify",
+    ),
+    "option_as_command": (
+        ("-e", "3"),
+        "error: unknown command '-e': expected coh, cone, split or verify",
+    ),
+    "unknown_option": (("verify", "--beta", "5"), "error: verify: unknown option '--beta'"),
+    "abbreviated_option": (("verify", "--beta=5"), "error: verify: unknown option '--beta'"),
+    "option_of_another_command": (
+        ("cone", "--char", "3", "C"),
+        "error: cone: unknown option '--char'",
+    ),
+    "attached_short_value": (("coh", "-e2", "C"), "error: coh: unknown option '-e2'"),
+    "short_option_with_equals": (("coh", "-e=2", "C"), "error: coh: unknown option '-e=2'"),
+    "class_with_leading_minus": (("coh", "-2C-4F"), "error: coh: unknown option '-2C-4F'"),
+    "missing_value": (("coh", "C", "-e"), "error: coh: option -e needs a value"),
+    "repeated_option": (
+        ("verify", "--char", "3", "--char=5"),
+        "error: verify: option --char given twice",
+    ),
+    "missing_class": (("cone",), "error: cone: missing CLASS"),
+    "missing_type": (("split",), "error: split: missing TYPE"),
+    "extra_class": (("coh", "C", "F"), "error: coh: unexpected argument 'F'"),
+    "verify_positional": (("verify", "x"), "error: verify: unexpected argument 'x'"),
+    "option_after_double_dash": (
+        ("cone", "--", "C", "-e", "3"),
+        "error: cone: unexpected argument '-e'",
+    ),
+    "bad_value": (("coh", "-e", "x", "C"), "error: argument -e: expected an integer, got 'x'"),
+    "value_with_leading_minus": (
+        ("coh", "-e", "-1", "C"),
+        "error: Hirzebruch twist must be nonnegative, got e=-1",
+    ),
+    "unknown_mode": (
+        ("verify", "--mode", "exact"),
+        "error: mode must be 'symbolic' or 'sweep', got 'exact'",
+    ),
+    **{
+        f"{name or 'hirzcoh'}{flag}": ((*name.split(), flag), " ".join(["usage: hirzcoh", name]))
+        for name in ("", "coh", "cone", "split", "verify")
+        for flag in ("-h", "--help")
+    },
+    "help_after_options": (("coh", "-e", "3", "-h"), "usage: hirzcoh coh [-e N]"),
+}
+
+
+@pytest.mark.parametrize("argv, want", GRAMMAR.values(), ids=GRAMMAR)
+def test_command_line_grammar(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    if isinstance(want, tuple):
+        assert (code, err) == (0, "")
+        assert body(out) == body(run(capsys, *want)[1])
+    elif want.startswith("usage: "):
+        assert (code, err) == (0, "") and out.startswith(want)
+    else:
+        assert (code, out, err) == (2, "", want + "\n")
 
 
 @pytest.mark.parametrize(
@@ -447,8 +525,10 @@ def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
 # modules only ``verify`` needs; the calculators must start without them
 VERIFY_ONLY_MODULES = {"hirzcoh.verifier", "json", "datetime"}
 # modules no command needs: the value and record classes are plain classes
-# or named tuples, so nothing loads dataclasses (and with it inspect)
-NEVER_IMPORTED = {"dataclasses", "inspect"}
+# or named tuples, so nothing loads dataclasses (and with it inspect), and
+# the command line is read from a table, so nothing loads argparse (and with
+# it gettext and locale)
+NEVER_IMPORTED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 # the hirzcoh modules each calculator runs: ``-m`` runs hirzcoh.cli as
@@ -494,6 +574,17 @@ def test_verify_cold_start_loads_verifier():
     # a symbolic PASS writes no JSON and prints no witness; the header's
     # stamp comes from time, not datetime
     assert modules & {"json", "datetime"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [(("verify", "--mode", "exact"), 2), (("-h",), 0), (("coh", "--help"), 0)],
+    ids=["usage_error", "help", "command_help"],
+)
+def test_usage_error_and_help_start_without_argparse(argv, want):
+    code, modules = imported_modules(*argv)
+    assert code == want
+    assert modules & NEVER_IMPORTED == set()
 
 
 def run_closed_stdout(*argv):
@@ -549,20 +640,17 @@ def assert_exit_contract(argv, code, out, err):
     if code == 1:
         assert argv[0] == "verify" and "\noverall FAIL at " in out
     if code == 2:
-        errors = [line for line in err.splitlines() if "error: " in line]
-        assert out == "" and len(errors) == 1 and err.endswith(errors[0] + "\n")
+        [line] = err.splitlines()
+        assert out == "" and line.startswith("error: ") and err == line + "\n"
     else:
         assert err == ""
 
 
 def run_in_process(argv):
-    """Exit code, stdout and stderr of ``cli.main``; argparse's exit counts as its code."""
+    """Exit code, stdout and stderr of ``cli.main``; an exit from ``main`` fails the caller."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -699,6 +787,8 @@ ENTRY_CASES = {
     "verify": (("verify",), 0),
     "verify_fail": (("verify", "-e", "3"), 1),
     "refusal": (("cone", "-e", "-1", "C"), 2),
+    "usage_error": (("verify", "--mode", "exact"), 2),
+    "help": (("--help",), 0),
 }
 
 
