@@ -21,6 +21,12 @@ positional raise ValueError, so they exit 2 like every other refusal, and
 ``main`` never raises SystemExit.  ``-h`` or ``--help`` prints the usage
 of the command, or of ``hirzcoh``, on stdout and exits 0.
 
+The table, with ``_OPS`` for the operations of ``split``, is the one place
+that names a command, an option or an operation: each row carries its
+summary and the help of each positional and option, and ``_help`` builds
+every help text from it, only when one is asked for.  The refusal of an
+unknown command or operation lists the names from the same tables.
+
 Output is deterministic byte for byte for fixed flags, except the single
 timestamped header line of ``verify`` (lines starting with ``#`` are meant
 to be excluded from golden comparisons).  JSON reports carry no timestamp
@@ -63,16 +69,13 @@ def _yesno(flag: bool) -> str:
 
 
 def _parse_char(text: str) -> int:
-    from .primes import is_prime
+    from .primes import check_characteristic
 
     try:
         value = parse_int(text)
     except ValueError:
         raise ValueError(f"characteristic must be an integer, got {text!r}") from None
-    # is_prime refuses a value past its deterministic bound with ValueError
-    if value != 0 and not is_prime(value):
-        raise ValueError(f"characteristic must be 0 or a prime, got {value}")
-    return value
+    return check_characteristic(value)
 
 
 _CHAR_NOTE = (
@@ -147,6 +150,16 @@ def _parse_split_input(text: str) -> SplittingType:
     return parse_splitting(text)
 
 
+#: Each operation of ``split``: its ``SplittingType`` method and the letter
+#: its help gives the value.
+_OPS = {"sym": ("sym_power", "m"), "twist": ("twist", "d"), "frob": ("frobenius_pullback", "q")}
+
+
+def _one_of(names) -> str:
+    *rest, last = names
+    return f"{', '.join(rest)} or {last}"
+
+
 def _apply_op(st: SplittingType, token: str) -> SplittingType:
     name, sep, raw = token.partition(":")
     if not sep:
@@ -155,13 +168,10 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
         value = parse_int(raw)
     except ValueError:
         raise ValueError(f"bad operation value in {token!r}: expected an integer") from None
-    if name == "sym":
-        return st.sym_power(value)
-    if name == "twist":
-        return st.twist(value)
-    if name == "frob":
-        return st.frobenius_pullback(value)
-    raise ValueError(f"unknown operation {name!r}: expected sym, twist or frob")
+    if name not in _OPS:
+        raise ValueError(f"unknown operation {name!r}: expected {_one_of(_OPS)}")
+    # looked up on the instance, so a wrapper set on the class sees the call
+    return getattr(st, _OPS[name][0])(value)
 
 
 def _cmd_split(bundle: str, *ops: str) -> tuple[int, list[str]]:
@@ -223,7 +233,7 @@ def _cmd_verify(
     report = run_full_replay(ctx, char, mode, beta_max)
     # the file is written before main prints: a reader that quits early
     # cannot stop it from being written
-    if json_path:
+    if json_path is not None:
         import json
         from pathlib import Path
 
@@ -245,80 +255,80 @@ is almost nef but not pseudo-effective.  Without a command, hirzcoh runs
 the characteristic-0 symbolic replay, as 'hirzcoh verify' does.
 
 commands:
-  coh      cohomology table for a divisor class
-  cone     positivity-cone membership for a divisor class
-  split    splitting-type calculator on P^1
-  verify   run the certificate replay
+{commands}
 
 An option takes the next word as its value, or is written --name=value.
 Options may come before or after the arguments; '--' ends them.
 'hirzcoh COMMAND -h' shows the options of a command."""
 
-_TWIST_HELP = "  -e N          Hirzebruch twist (default 2)\n"
-_HELP_HELP = "  -h, --help    show this help"
+_TWIST = ("e", parse_int, 2, "N", "Hirzebruch twist (default 2)")
+_CLASS = (("CLASS", "divisor class, e.g. 'C+3F'"),)
 
-#: Each command: its run function, its options as flag -> (keyword of the
-#: run function, parser, default), the names of the positionals it needs,
-#: whether it takes any number of positionals after those, and its help.
-#: The run function takes the positionals in order and every option by
-#: keyword.
+#: Each command: its run function, its one-line summary, its options as
+#: flag -> (keyword of the run function, parser, default, metavar, help),
+#: its positionals as (name, help), and the (name, help) of the words that
+#: may follow those, or None.  The run function takes the positionals in
+#: order and every option by keyword.  The help and every name refusal are
+#: built from this table.
 _COMMANDS = {
     "coh": (
         _cmd_coh,
-        {"-e": ("e", parse_int, 2), "--char": ("char", _parse_char, None)},
-        ("CLASS",),
-        False,
-        "usage: hirzcoh coh [-e N] [--char P] [--] CLASS\n\n"
-        "cohomology table for a divisor class\n\n"
-        "  CLASS         divisor class, e.g. 'C+3F'\n"
-        + _TWIST_HELP
-        + "  --char P      characteristic, 0 or a prime (informational)\n"
-        + _HELP_HELP,
+        "cohomology table for a divisor class",
+        {
+            "-e": _TWIST,
+            "--char": (
+                "char", _parse_char, None, "P", "characteristic, 0 or a prime (informational)"
+            ),
+        },
+        _CLASS,
+        None,
     ),
     "cone": (
-        _cmd_cone,
-        {"-e": ("e", parse_int, 2)},
-        ("CLASS",),
-        False,
-        "usage: hirzcoh cone [-e N] [--] CLASS\n\n"
-        "positivity-cone membership for a divisor class\n\n"
-        "  CLASS         divisor class, e.g. 'C+3F'\n" + _TWIST_HELP + _HELP_HELP,
+        _cmd_cone, "positivity-cone membership for a divisor class", {"-e": _TWIST}, _CLASS, None
     ),
     "split": (
         _cmd_split,
+        "splitting-type calculator on P^1",
         {},
-        ("TYPE",),
-        True,
-        "usage: hirzcoh split [--] TYPE [OP ...]\n\n"
-        "splitting-type calculator on P^1\n\n"
-        "  TYPE          splitting type '[d1,d2,...]' or 'ext(sub,quot,split|nonsplit)'\n"
-        "  OP            operations sym:m, twist:d, frob:q, applied left to right\n"
-        + _HELP_HELP,
+        (("TYPE", "splitting type '[d1,d2,...]' or 'ext(sub,quot,split|nonsplit)'"),),
+        ("OP", "operations {ops}, applied left to right"),
     ),
     "verify": (
         _cmd_verify,
+        "run the certificate replay",
         {
-            "-e": ("e", parse_int, 2),
-            "--char": ("char", _parse_char, 0),
-            "--mode": ("mode", str, "symbolic"),
-            "--beta-max": ("beta_max", parse_int, None),
-            "--json": ("json_path", str, None),
+            "-e": _TWIST,
+            "--char": ("char", _parse_char, 0, "P", "0 or a prime (default 0)"),
+            "--mode": ("mode", str, "symbolic", "M", "symbolic or sweep (default symbolic)"),
+            "--beta-max": (
+                "beta_max", parse_int, None, "N", "grid bound, 1 to 1000 (sweep mode only)"
+            ),
+            "--json": ("json_path", str, None, "PATH", "write the JSON report here"),
         },
         (),
-        False,
-        "usage: hirzcoh verify [-e N] [--char P] [--mode M] [--beta-max N] [--json PATH]\n\n"
-        "run the certificate replay\n\n"
-        + _TWIST_HELP
-        + "  --char P      0 or a prime (default 0)\n"
-        "  --mode M      symbolic or sweep (default symbolic)\n"
-        "  --beta-max N  grid bound, 1 to 1000 (sweep mode only)\n"
-        "  --json PATH   write the JSON report here\n" + _HELP_HELP,
+        None,
     ),
 }
 
 
-def _help(text: str) -> tuple[int, list[str]]:
-    return 0, [text]
+def _help(name: str | None) -> tuple[int, list[str]]:
+    """The usage of ``hirzcoh``, or of the command ``name``."""
+    if name is None:
+        rows = [f"  {command:<8} {row[1]}" for command, row in _COMMANDS.items()]
+        return 0, [_USAGE.format(commands="\n".join(rows))]
+    _, summary, options, needed, more = _COMMANDS[name]
+    flags = [(f"{flag} {metavar}", text) for flag, (*_, metavar, text) in options.items()]
+    words = [f"[{label}]" for label, _ in flags]
+    if needed:
+        words += ["[--]", *(label for label, _ in needed)]
+    rows = [*needed]
+    if more:
+        ops = ", ".join(f"{op}:{letter}" for op, (_, letter) in _OPS.items())
+        words.append(f"[{more[0]} ...]")
+        rows.append((more[0], more[1].format(ops=ops)))
+    rows += [*flags, ("-h, --help", "show this help")]
+    lines = [f"  {label:<12}  {text}" for label, text in rows]
+    return 0, [" ".join(["usage: hirzcoh", name, *words]), "", summary, "", *lines]
 
 
 def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, object]]:
@@ -329,18 +339,18 @@ def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, objec
     """
     name, *rest = argv or ["verify"]
     if name in ("-h", "--help"):
-        return _help, [_USAGE], {}
+        return _help, [None], {}
     if name not in _COMMANDS:
-        raise ValueError(f"unknown command {name!r}: expected coh, cone, split or verify")
-    run, options, needed, variadic, usage = _COMMANDS[name]
-    kwargs = {field: default for field, _, default in options.values()}
+        raise ValueError(f"unknown command {name!r}: expected {_one_of(_COMMANDS)}")
+    run, _, options, needed, more = _COMMANDS[name]
+    kwargs = {field: default for field, _, default, *_ in options.values()}
     given, args = set(), []
     words = iter(rest)
     for word in words:
         if word == "--":
             args.extend(words)
         elif word in ("-h", "--help"):
-            return _help, [usage], {}
+            return _help, [name], {}
         elif word.startswith("-"):
             flag, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
             if flag not in options:
@@ -352,7 +362,7 @@ def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, objec
                 if value is None:
                     raise ValueError(f"{name}: option {flag} needs a value")
             given.add(flag)
-            field, parse, _ = options[flag]
+            field, parse, *_ = options[flag]
             try:
                 kwargs[field] = parse(value)
             except ValueError as exc:
@@ -360,8 +370,8 @@ def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, objec
         else:
             args.append(word)
     if len(args) < len(needed):
-        raise ValueError(f"{name}: missing {needed[len(args)]}")
-    if len(args) > len(needed) and not variadic:
+        raise ValueError(f"{name}: missing {needed[len(args)][0]}")
+    if len(args) > len(needed) and more is None:
         raise ValueError(f"{name}: unexpected argument {args[len(needed)]!r}")
     return run, args, kwargs
 

@@ -1,6 +1,8 @@
 """Exact primality test for the ``--char`` characteristic.
 
 Deterministic Miller-Rabin: exact below a fixed bound, a refusal past it.
+``check_characteristic`` is the one rule for a characteristic, which the
+command line and the verifier both apply.
 """
 
 # Miller-Rabin on the first thirteen prime bases decides primality exactly
@@ -34,3 +36,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_characteristic(p: int) -> int:
+    """``p`` if it is 0 or a prime; any other value raises ValueError."""
+    # is_prime refuses a value past its deterministic bound with ValueError
+    if p != 0 and not is_prime(p):
+        raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+    return p

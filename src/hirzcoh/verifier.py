@@ -47,7 +47,7 @@ from .p1 import (
     classify_extension,
     format_splitting,
 )
-from .primes import is_prime
+from .primes import check_characteristic, is_prime
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -868,8 +868,7 @@ def run_full_replay(
     report's witness.
     """
     _check_mode(mode, beta_max)
-    if characteristic != 0 and not is_prime(characteristic):
-        raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+    check_characteristic(characteristic)
     datum, extension = _extension_record(ctx)
     records = [extension]
     if datum is not None:

@@ -431,6 +431,88 @@ def test_command_line_grammar(capsys, argv, want):
         assert (code, out, err) == (2, "", want + "\n")
 
 
+# every help text, byte for byte: the help is built from the command table,
+# and this pins what that table must print
+HELP = {
+    "hirzcoh": """\
+usage: hirzcoh [COMMAND] [OPTION ...] [ARG ...]
+
+Exact line-bundle cohomology and positivity cones on Hirzebruch surfaces,
+plus a certified replay showing the nonsplit extension of O by O(C) on F_2
+is almost nef but not pseudo-effective.  Without a command, hirzcoh runs
+the characteristic-0 symbolic replay, as 'hirzcoh verify' does.
+
+commands:
+  coh      cohomology table for a divisor class
+  cone     positivity-cone membership for a divisor class
+  split    splitting-type calculator on P^1
+  verify   run the certificate replay
+
+An option takes the next word as its value, or is written --name=value.
+Options may come before or after the arguments; '--' ends them.
+'hirzcoh COMMAND -h' shows the options of a command.
+""",
+    "coh": """\
+usage: hirzcoh coh [-e N] [--char P] [--] CLASS
+
+cohomology table for a divisor class
+
+  CLASS         divisor class, e.g. 'C+3F'
+  -e N          Hirzebruch twist (default 2)
+  --char P      characteristic, 0 or a prime (informational)
+  -h, --help    show this help
+""",
+    "cone": """\
+usage: hirzcoh cone [-e N] [--] CLASS
+
+positivity-cone membership for a divisor class
+
+  CLASS         divisor class, e.g. 'C+3F'
+  -e N          Hirzebruch twist (default 2)
+  -h, --help    show this help
+""",
+    "split": """\
+usage: hirzcoh split [--] TYPE [OP ...]
+
+splitting-type calculator on P^1
+
+  TYPE          splitting type '[d1,d2,...]' or 'ext(sub,quot,split|nonsplit)'
+  OP            operations sym:m, twist:d, frob:q, applied left to right
+  -h, --help    show this help
+""",
+    "verify": """\
+usage: hirzcoh verify [-e N] [--char P] [--mode M] [--beta-max N] [--json PATH]
+
+run the certificate replay
+
+  -e N          Hirzebruch twist (default 2)
+  --char P      0 or a prime (default 0)
+  --mode M      symbolic or sweep (default symbolic)
+  --beta-max N  grid bound, 1 to 1000 (sweep mode only)
+  --json PATH   write the JSON report here
+  -h, --help    show this help
+""",
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("name", HELP)
+def test_help_text_is_pinned(capsys, name, flag):
+    command = [] if name == "hirzcoh" else [name]
+    assert run(capsys, *command, flag) == (0, HELP[name], "")
+
+
+def test_verify_help_names_the_verifier_bounds():
+    # the help stays literal so that -h never imports the verifier; this
+    # keeps it in step with the verifier's own checks
+    from hirzcoh.verifier import BETA_MAX_LIMIT, _check_mode
+
+    assert f"grid bound, 1 to {BETA_MAX_LIMIT} (sweep mode only)" in HELP["verify"]
+    assert "symbolic or sweep (default symbolic)" in HELP["verify"]
+    _check_mode("symbolic", None)
+    _check_mode("sweep", BETA_MAX_LIMIT)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -520,6 +602,17 @@ def test_json_report_into_missing_directory_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err and not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("--json=",), ("--json", "")], ids=["equals", "separate_word"]
+)
+def test_empty_json_path_exits_2(capsys, argv):
+    # an empty path names no file: it is refused like any other
+    # unwritable path, not read as "no report"
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write JSON report: ") and len(err.splitlines()) == 1
 
 
 # modules only ``verify`` needs; the calculators must start without them

@@ -609,6 +609,15 @@ def test_is_prime_decides_up_to_the_bound():
     assert v.is_prime is primes.is_prime
 
 
+@pytest.mark.parametrize("characteristic", (1, 4, -3, 318665857834031151167461))
+def test_replay_refuses_a_characteristic_that_is_not_0_or_prime(characteristic):
+    # the same rule, and the same message, as the command line's --char
+    with pytest.raises(ValueError) as exc:
+        run_full_replay(CTX2, characteristic)
+    assert str(exc.value) == f"characteristic must be 0 or a prime, got {characteristic}"
+    assert v.check_characteristic is primes.check_characteristic
+
+
 def test_frobenius_certificate_sweep():
     rec = frobenius_certificate(CTX2, 3, mode="sweep", beta_max=8)
     assert rec.passed and rec.details["evaluations"] == sum(5 * b + 1 for b in range(1, 9))
