@@ -26,14 +26,16 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, combinations_with_replacement
 from math import comb, e, log2
+from operator import itemgetter
 from typing import Iterable
 
 from .hirzebruch import Value, parse_int
 
-# Enumerating the m-th symmetric power sums m degrees for each monomial;
-# refuse past this many terms (m times the monomial count).  Balanced
-# inputs and progressions never enumerate; a progression's Gaussian
-# binomial is refused past this many additions too.
+# Enumerating the m-th symmetric power sums m degrees for each monomial,
+# counting the weights in C with no Python frame per monomial; refuse past
+# this many terms (m times the monomial count).  Balanced inputs and
+# progressions never enumerate; a progression's Gaussian binomial is
+# refused past this many additions too.
 _SYM_ENUMERATION_LIMIT = 5_000_000
 
 # The Gaussian binomial of a progression refuses more output pairs than this.
@@ -91,7 +93,7 @@ class SplittingType(Value):
 
     @property
     def rank(self) -> int:
-        return sum(r for _, r in self._pairs)
+        return sum(map(itemgetter(1), self._pairs))
 
     def degrees(self) -> tuple[int, ...]:
         """The expanded, sorted degree tuple (small multisets only)."""
@@ -165,7 +167,10 @@ class SplittingType(Value):
         comb(rank + m - 1, m).  Balanced input short-circuits to a single
         aggregated summand.  Multiplicity-one degrees a, a+s, ..., a+n*s
         take the Gaussian binomial (``_progression_power``); anything else
-        enumerates the monomials.
+        enumerates the monomials and counts their weights in C:
+        ``map(sum, ...)`` over ``combinations_with_replacement`` resumes no
+        Python frame per monomial, and the iterator reuses its one result
+        tuple, since nothing else holds it.
         """
         if m < 0:
             raise ValueError(f"symmetric power wants a nonnegative exponent, got {m}")
@@ -190,9 +195,7 @@ class SplittingType(Value):
                 f"symmetric power has {n_monomials} summands of {m} terms each; "
                 f"refusing to enumerate more than {_SYM_ENUMERATION_LIMIT} terms"
             )
-        sums = Counter(
-            sum(combo) for combo in combinations_with_replacement(self.degrees(), m)
-        )
+        sums = Counter(map(sum, combinations_with_replacement(self.degrees(), m)))
         return _from_sorted(tuple(sorted(sums.items())))
 
 

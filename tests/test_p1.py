@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -169,15 +170,20 @@ def _sym_oracle(degrees, m):
 def _sym_by_pairs(pairs, m):
     # S^m(O(d)^r + R) = sum over i of O(i*d)^C(r+i-1, i) (x) S^(m-i)(R), one
     # pair at a time: it lists no monomial, so unlike _sym_oracle it shares
-    # nothing with the enumeration route of sym_power
-    if not pairs:
-        return [(0, 1)] if m == 0 else []
-    (d, r), rest = pairs[0], pairs[1:]
-    return [
-        (i * d + e, comb(r + i - 1, i) * s)
-        for i in range(m + 1)
-        for e, s in _sym_by_pairs(rest, m - i)
-    ]
+    # nothing with the enumeration route of sym_power.  Each S^k of a tail
+    # of the pairs is built once, so m in the hundreds stays quick.
+    @cache
+    def tail_power(j, k):
+        if j == len(pairs):
+            return [(0, 1)] if k == 0 else []
+        d, r = pairs[j]
+        return [
+            (i * d + e, comb(r + i - 1, i) * s)
+            for i in range(k + 1)
+            for e, s in tail_power(j + 1, k - i)
+        ]
+
+    return tail_power(0, m)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=0, max_size=4), st.integers(0, 6))
@@ -212,6 +218,30 @@ def test_sym_power_enumeration_refusal():
     # as a progression it would have 3 000 001 output pairs
     with pytest.raises(ValueError, match="refusing"):
         SplittingType((0, 1)).sym_power(3_000_000)
+
+
+def _by_pairs(s, m):
+    return SplittingType.from_pairs(_sym_by_pairs(s.pairs, m))
+
+
+def test_enumerated_route_at_workload_sizes():
+    # a split_calc-shaped chain with repeated degrees, which no progression
+    # has: [9,9,-18], then S^2 = [-36,-9,-9,18,18,18] and S^6 of that
+    s = SplittingType((4, 4, 1)).twist(-3).frobenius_pullback(9)
+    s2 = s.sym_power(2)
+    assert s2 == _by_pairs(s, 2) == SplittingType((-36, -9, -9, 18, 18, 18))
+    s6 = s2.sym_power(6)
+    assert s6 == _by_pairs(s2, 6) and s6.rank == comb(11, 6)
+    # the largest m under the 5 * 10^6-term bound, and the first one past it:
+    # 72 * comb(75, 3) = 4 861 800 and 73 * comb(76, 3) = 5 131 900 terms;
+    # 214 * comb(216, 2) = 4 969 080 and 215 * comb(217, 2) = 5 038 740
+    for degrees, m in [((-6, -1, 2, 5), 72), ((0, 1, 3), 214)]:
+        s = SplittingType(degrees)
+        assert m * comb(len(degrees) + m - 1, m) <= 5_000_000
+        out = s.sym_power(m)
+        assert out == _by_pairs(s, m) and out.rank == comb(len(degrees) + m - 1, m)
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            s.sym_power(m + 1)
 
 
 def _is_progression(s):
