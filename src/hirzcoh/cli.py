@@ -37,6 +37,8 @@ so each command imports the modules it runs and no others.  At module
 level this file loads only ``hirzebruch``, which is all ``cone`` needs;
 ``coh`` adds ``cohomology`` and its oracle kernel, ``split`` adds ``p1``,
 ``--char`` adds ``primes``, and only ``verify`` imports the verifier.
+``verify`` checks the surface, the mode and the grid bound first, so a
+refused one loads only ``hirzebruch`` and ``primes``.
 ``verify`` itself loads ``json`` only for a ``--json`` report or a FAIL
 witness, ``pathlib`` only for a ``--json`` report, and never
 ``datetime``.
@@ -227,9 +229,13 @@ def _cmd_verify(
 ) -> tuple[int, list[str]]:
     import time
 
+    from .primes import check_mode
+
+    # a refused surface, mode or grid bound exits before the verifier loads
+    ctx = SurfaceContext(e)
+    check_mode(mode, beta_max)
     from .verifier import run_full_replay
 
-    ctx = SurfaceContext(e)
     report = run_full_replay(ctx, char, mode, beta_max)
     # the file is written before main prints: a reader that quits early
     # cannot stop it from being written

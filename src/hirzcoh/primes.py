@@ -1,8 +1,10 @@
-"""Exact primality test for the ``--char`` characteristic.
+"""The rules for the replay's parameters, and the primality test behind one.
 
 Deterministic Miller-Rabin: exact below a fixed bound, a refusal past it.
-``check_characteristic`` is the one rule for a characteristic, which the
-command line and the verifier both apply.
+``check_characteristic`` is the one rule for a characteristic and
+``check_mode`` the one rule for a mode and its grid bound.  The command
+line and the verifier both apply them, and the command line does so
+before it imports the verifier, so a refused replay loads nothing else.
 """
 
 # Miller-Rabin on the first thirteen prime bases decides primality exactly
@@ -44,3 +46,22 @@ def check_characteristic(p: int) -> int:
     if p != 0 and not is_prime(p):
         raise ValueError(f"characteristic must be 0 or a prime, got {p}")
     return p
+
+
+#: Largest sweep grid bound; a larger one is refused.  Each b builds
+#: S^{4b} of the tower's base: cheap for the replay's balanced bases, but
+#: for an unbalanced base (a control's) a sweep to this bound already takes
+#: seconds, and its cost grows faster than quadratically in the bound.
+BETA_MAX_LIMIT = 1000
+
+
+def check_mode(mode: str, beta_max: int | None) -> None:
+    """Refuse a replay mode other than symbolic or sweep, or a bad grid bound."""
+    if mode not in ("symbolic", "sweep"):
+        raise ValueError(f"mode must be 'symbolic' or 'sweep', got {mode!r}")
+    if mode == "sweep" and (beta_max is None or beta_max < 1):
+        raise ValueError("sweep mode needs beta_max >= 1")
+    if mode == "sweep" and beta_max > BETA_MAX_LIMIT:
+        raise ValueError(f"sweep mode allows beta_max <= {BETA_MAX_LIMIT}, got {beta_max}")
+    if mode == "symbolic" and beta_max is not None:
+        raise ValueError("beta_max is only meaningful in sweep mode")

@@ -22,7 +22,8 @@ negativity of that form on the whole region b >= 1, l >= 0 certifies
 h^0 = 0 for every parameter value at once, and a point where it is not
 negative is a witness, balanced or not.  Sweep mode replays the same
 question numerically on a finite grid: it builds the b-independent base of
-each tower once and the tower once per b as a splitting type.  Since l
+each tower once (the restricted S^sym(F^{frob*} E) and the degree form of
+the twist on C) and the tower once per b as a splitting type.  Since l
 enters only through the twist on top, that type's top degree moves
 monotonically along the row of b, so the two ends of the row decide every
 l of it, and the first l with sections, if any, is the witness.
@@ -47,7 +48,7 @@ from .p1 import (
     classify_extension,
     format_splitting,
 )
-from .primes import check_characteristic, is_prime
+from .primes import BETA_MAX_LIMIT, check_characteristic, check_mode as _check_mode, is_prime
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -67,12 +68,6 @@ _PEEL = (5, 15)
 #: The two region parameters as degree forms.
 BETA = DegreeForm(cb=1)
 ELL = DegreeForm(cl=1)
-
-#: Largest sweep grid bound; a larger one is refused.  Each b builds
-#: S^{4b} of the tower's base: cheap for the replay's balanced bases, but
-#: for an unbalanced base (a control's) a sweep to this bound already takes
-#: seconds, and its cost grows faster than quadratically in the bound.
-BETA_MAX_LIMIT = 1000
 
 #: Records that set the replay up; every other record is a claim.
 _SETUP_IDS = ("extension", "restriction")
@@ -138,28 +133,31 @@ def _leaf_restriction(
     )
 
 
-def _restrict_base(ctx: SurfaceContext, tower: Tower) -> SplittingType:
-    """S^sym(F^{frob*} E)|_C: the part of tower|_C that no parameter enters."""
+def _restrict_base(ctx: SurfaceContext, tower: Tower) -> tuple[SplittingType, DegreeForm]:
+    """The part of tower|_C that b does not enter.
+
+    That is S^sym(F^{frob*} E)|_C and the degree form on C of the twist
+    a*C + b*F, which b and l enter only as its arguments.
+    """
     st = _leaf_restriction(ctx, tower.datum, C)
     if tower.frob > 1:
         st = st.frobenius_pullback(tower.frob)
-    return st.sym_power(tower.sym)
+    return st.sym_power(tower.sym), restricted_twist_degree(ctx, tower.a, tower.b)
 
 
 def _restrict_numeric(
-    ctx: SurfaceContext, tower: Tower, beta: int, base: SplittingType | None = None
+    ctx: SurfaceContext, tower: Tower, beta: int, base: tuple | None = None
 ) -> tuple[SplittingType, int]:
     """tower|_C at (beta, 0), and the slope one step of l adds to every degree.
 
     ``base`` is ``_restrict_base(ctx, tower)``; a sweep builds it once and
-    passes it in, so only S^{ALPHA*beta} and the twist are built per beta.
-    l enters only through the twist on top, so the restriction at
-    (beta, ell) is the returned type twisted by ``slope * ell``.
+    passes it in, so only S^{ALPHA*beta} of the base type and its twist by
+    the form at beta are built per beta.  l enters only through the twist
+    on top, so the restriction at (beta, ell) is the returned type twisted
+    by ``slope * ell``, the form's l coefficient.
     """
-    if base is None:
-        base = _restrict_base(ctx, tower)
-    twist = restricted_twist_degree(ctx, tower.a, tower.b)
-    return base.sym_power(ALPHA * beta).twist(twist(beta)), twist.cl
+    st, twist = base or _restrict_base(ctx, tower)
+    return st.sym_power(ALPHA * beta).twist(twist(beta)), twist.cl
 
 
 def _restrict_symbolic(ctx: SurfaceContext, tower: Tower) -> tuple[DegreeForm, str]:
@@ -236,17 +234,6 @@ class ClaimRecord:
             "details": self.details,
             "witness": self.witness,
         }
-
-
-def _check_mode(mode: str, beta_max: int | None) -> None:
-    if mode not in ("symbolic", "sweep"):
-        raise ValueError(f"mode must be 'symbolic' or 'sweep', got {mode!r}")
-    if mode == "sweep" and (beta_max is None or beta_max < 1):
-        raise ValueError("sweep mode needs beta_max >= 1")
-    if mode == "sweep" and beta_max > BETA_MAX_LIMIT:
-        raise ValueError(f"sweep mode allows beta_max <= {BETA_MAX_LIMIT}, got {beta_max}")
-    if mode == "symbolic" and beta_max is not None:
-        raise ValueError("beta_max is only meaningful in sweep mode")
 
 
 # --------------------------------------------------------------------------
@@ -406,9 +393,10 @@ def _sweep_vanishing(
 ) -> tuple[int, dict | None]:
     """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= n*b; first failure wins.
 
-    The tower's base is built once and the tower once per b as a splitting
-    type; ``first_section`` then decides every l of that b, twisted by
-    ``slope * l``, from the type's top degree at the two ends of the row.
+    The tower's b-independent base, its type and its twist form, is built
+    once, and the tower once per b as a splitting type; ``first_section``
+    then decides every l of that b, twisted by ``slope * l``, from the
+    type's top degree at the two ends of the row.
     The splitting type decides each row, never the degree form.  Returns
     the grid points decided up to and including the witness, and the
     witness with its h^0.  n is ``_PEEL``'s.

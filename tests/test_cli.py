@@ -344,7 +344,8 @@ def test_verify_failure_exits_1(capsys):
 
 
 def test_verify_usage_errors(capsys):
-    # the verifier's own mode check answers for the CLI: exit 2, no stdout
+    # the replay's own mode check (primes.check_mode) answers for the CLI:
+    # exit 2, no stdout
     assert run(capsys, "verify", "--mode", "sweep") == (
         2,
         "",
@@ -678,6 +679,34 @@ def test_usage_error_and_help_start_without_argparse(argv, want):
     code, modules = imported_modules(*argv)
     assert code == want
     assert modules & NEVER_IMPORTED == set()
+
+
+# modules a replay needs and a refused ``verify`` must not load
+REPLAY_MODULES = {"hirzcoh.verifier", "hirzcoh.p1", "hirzcoh.cohomology"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--mode", "exact"), "mode must be 'symbolic' or 'sweep', got 'exact'"),
+        (
+            ("--mode", "sweep", "--beta-max", "1001"),
+            "sweep mode allows beta_max <= 1000, got 1001",
+        ),
+        (("--mode", "sweep"), "sweep mode needs beta_max >= 1"),
+        (("--beta-max", "5"), "beta_max is only meaningful in sweep mode"),
+        (("-e", "-1"), "Hirzebruch twist must be nonnegative, got e=-1"),
+    ],
+    ids=["mode", "beta_max_past_limit", "sweep_without_beta_max", "symbolic_beta_max", "e"],
+)
+def test_refused_verify_loads_no_replay_module(capsys, argv, message):
+    # the surface, the mode and the grid bound are checked before the
+    # verifier is imported, with the verifier's own messages
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+    code, modules = imported_modules("verify", *argv)
+    assert code == 2
+    assert modules & REPLAY_MODULES == set()
+    assert "hirzcoh.primes" in modules
 
 
 def run_closed_stdout(*argv):

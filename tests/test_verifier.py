@@ -275,6 +275,22 @@ def test_sweep_builds_each_tower_once_per_beta(name, monkeypatch):
     assert rec.details["evaluations"] == sum(5 * b + 1 for b in range(1, beta_max + 1))
 
 
+@pytest.mark.parametrize("name", _TOWERS)
+def test_sweep_builds_each_twist_form_once(name, monkeypatch):
+    # b enters the twist a*C + b*F only as the form's argument, so a sweep
+    # builds the form on C once per tower, not once per b
+    tower = _tower(name)[0]
+    calls, real = [], v.restricted_twist_degree
+
+    def counting(ctx, a_form, b_form):
+        calls.append((a_form, b_form))
+        return real(ctx, a_form, b_form)
+
+    monkeypatch.setattr(v, "restricted_twist_degree", counting)
+    v._sweep_vanishing(CTX2, tower, 7)
+    assert calls == [(tower.a, tower.b)]
+
+
 def test_restrict_fiber():
     datum = build_extension(CTX2)
     assert v._leaf_restriction(CTX2, datum, F) == SplittingType((0, 1))
@@ -948,6 +964,9 @@ def test_replay_argument_validation():
     with pytest.raises(ValueError, match="beta_max <= 1000, got 1001"):
         run_full_replay(CTX2, 0, "sweep", 1001)
     v._check_mode("sweep", v.BETA_MAX_LIMIT)  # the limit itself is allowed
+    # the command line's rule, and the same bound, not a copy
+    assert v._check_mode is primes.check_mode
+    assert v.BETA_MAX_LIMIT is primes.BETA_MAX_LIMIT
 
 
 _CERTIFICATES = {
