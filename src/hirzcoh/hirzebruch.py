@@ -33,10 +33,11 @@ class Value:
     A plain ``__slots__`` class, not a tuple or a dataclass, so importing the
     value classes does not load dataclasses (and inspect) at every CLI start.
     Each subclass names its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``, or, in ``DivisorClass``
-    and ``SurfaceContext``, through the cheaper setter of the slot itself.
-    ``__reduce__`` rebuilds an instance through ``__init__``, since copy
-    and pickle would set the slots directly.
+    ``__init__`` through ``object.__setattr__``, or, in ``DivisorClass``,
+    ``SurfaceContext`` and ``SplittingType``, through the cheaper setter of
+    the slot itself.  ``__reduce__`` rebuilds an instance through
+    ``__init__`` (``SplittingType`` through ``from_pairs``), since copy and
+    pickle would set the slots directly.
     """
 
     __slots__ = ()

@@ -487,6 +487,20 @@ def test_multiset_semantics():
         SplittingType.from_pairs([(0, -1)])
 
 
+_huge = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
+
+
+@given(st.lists(st.integers(-3, 3) | _huge, max_size=8))
+@example([])
+@example([2**63, -(2**64), 2**63, 0, 0, 2**63])
+def test_constructor_reads_any_iterable_once(xs):
+    # sorted, aggregated pairs from a list, a tuple, a one-shot generator or
+    # an iterator, so the constructor may read its input only once
+    expected = tuple(sorted(Counter(xs).items()))
+    for degrees in (list(xs), tuple(xs), (d for d in xs), iter(xs)):
+        assert SplittingType(degrees).pairs == expected
+
+
 def test_aggregated_multiplicities_stay_compact():
     big = SplittingType([-4] * 5).sym_power(200)
     assert big.pairs == ((-800, comb(204, 4)),)

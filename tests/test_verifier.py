@@ -338,6 +338,30 @@ def test_symbolic_and_sweep_agree_on_the_controls(name):
         assert [sweep.witness[k] for k in point] == [1, 0, 196]
 
 
+def _no_counter(*args, **kwargs):
+    raise AssertionError("a Counter was built")
+
+
+def test_replay_builds_no_counter(monkeypatch):
+    # the replay's splitting types have one or two degrees each, and a
+    # Counter per type cost more than the rest of the constructor
+    def outputs():
+        replays = [
+            run_full_replay(CTX2, char, mode, beta_max).to_json_dict()
+            for char in (0, 3)
+            for mode, beta_max in (("symbolic", None), ("sweep", 6))
+        ]
+        controls = [
+            certificate(CTX2, *args, mode="sweep", beta_max=6, **kwargs).to_json_dict()
+            for certificate, args, kwargs in _CONTROLS.values()
+        ]
+        return replays, controls
+
+    expected = outputs()
+    monkeypatch.setattr("hirzcoh.p1.Counter", _no_counter)
+    assert outputs() == expected
+
+
 def _sweep_point_by_point(tower, beta_max):
     """``_sweep_vanishing`` as a plain loop: h^0 from the pairs at each point."""
     evaluations = 0
@@ -496,6 +520,25 @@ def test_base_row_oracle_covers_beta_up_to_its_bound():
         m = _spec(certificate, *args, **kwargs).tower.b.cb
         info = v._base_row_identity(CTX2, m, 1000)
         assert info["holds"] and info["checked_betas"] == list(range(1, 1001))
+
+
+@pytest.mark.parametrize("m", (3, 15))
+def test_base_row_sweep_needs_both_routes(m, monkeypatch):
+    # either route off by one at the last checked b alone breaks the
+    # identity, so neither route is skipped or stops early
+    last = 8 * m
+    assert v._base_row_identity(CTX2, m, 8)["holds"]
+    real_surface = coh.h0
+    monkeypatch.setattr(
+        coh, "h0", lambda ctx, d: real_surface(ctx, d) + (d == DivisorClass(0, last))
+    )
+    assert not v._base_row_identity(CTX2, m, 8)["holds"]
+    monkeypatch.setattr(coh, "h0", real_surface)
+    real_line = SplittingType.h0
+    monkeypatch.setattr(
+        SplittingType, "h0", lambda st, twist=0: real_line(st, twist) + (st.pairs == ((last, 1),))
+    )
+    assert not v._base_row_identity(CTX2, m, 8)["holds"]
 
 
 def test_rows_agree_on_their_twist_numbers():
