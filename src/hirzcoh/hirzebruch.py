@@ -144,13 +144,24 @@ _set_e = SurfaceContext.e.__set__  # as _set_a above
 #: and surrounding whitespace.
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
+#: The most digits an integer of any input grammar may have: Python's
+#: default bound on converting between int and str, kept here so that what
+#: the grammar accepts does not depend on PYTHONINTMAXSTRDIGITS.
+_INT_DIGITS = 4300
+
 _TERM_RE = re.compile(r"([+-]?)([0-9]*)([CF])")
 
 
 def parse_int(text: str) -> int:
-    """The integer ``text`` spells as ``[+-]?[0-9]+``; anything else raises ValueError."""
+    """The integer ``text`` spells as ``[+-]?[0-9]+``; anything else raises ValueError.
+
+    More than ``_INT_DIGITS`` digits are refused, whatever the interpreter's
+    own limit.
+    """
     if _INT_RE.fullmatch(text) is None:
         raise ValueError(f"expected an integer, got {text!r}")
+    if len(text) > _INT_DIGITS and len(text.lstrip("+-")) > _INT_DIGITS:
+        raise ValueError(f"integer has more than {_INT_DIGITS} digits")
     return int(text)
 
 
@@ -179,6 +190,8 @@ def parse_class(text: str) -> DivisorClass:
             )
         if gen in coeffs:
             raise ClassParseError(f"repeated {gen} term {m.group(0)!r} in {text!r}")
+        if len(digits) > _INT_DIGITS:
+            raise ClassParseError(f"{gen} coefficient has more than {_INT_DIGITS} digits")
         coeffs[gen] = int(sign + digits) if digits else (-1 if sign == "-" else 1)
         pos = m.end()
     return DivisorClass(coeffs.get("C", 0), coeffs.get("F", 0))

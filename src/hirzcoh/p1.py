@@ -187,11 +187,8 @@ class SplittingType(Value):
         pairs = self._pairs
         if len(pairs) == 1:
             d, r = pairs[0]
-            # kept on the checked entry point: nearly every symmetric power
-            # the replay takes is this one, and building it unchecked sped the
-            # replay up until the benchmark's per-op samples raised its peak
-            # RSS past +4% (ROADMAP item 1)
-            return SplittingType.from_pairs([(m * d, _sym_rank(r, m))])
+            # one pair, and its multiplicity comb(r + m - 1, m) is >= 1
+            return _from_sorted(((m * d, _sym_rank(r, m)),))
         n_monomials = _sym_rank(self.rank, m)
         a, s = pairs[0][0], pairs[1][0] - pairs[0][0]
         if all(p == (a + k * s, 1) for k, p in enumerate(pairs)):
@@ -215,8 +212,9 @@ def _from_sorted(pairs: tuple[tuple[int, int], ...]) -> SplittingType:
     Nothing is checked.  Every type this module derives from another keeps
     that order by construction: a twist adds n and a Frobenius pullback
     multiplies by q >= 2, so both keep the degrees strictly increasing; S^0
-    is the one pair (0, 1); a progression's degrees m*a + s*j increase with
-    j; an enumeration sorts its counts once.
+    is the one pair (0, 1); a balanced power is the one pair (m*d, rank)
+    with a rank >= 1; a progression's degrees m*a + s*j increase with j; an
+    enumeration sorts its counts once.
     """
     st = object.__new__(SplittingType)
     _set_pairs(st, pairs)
@@ -264,9 +262,17 @@ def _sym_rank(r: int, m: int) -> int:
     With n = r + m - 1 and k = min(m, r - 1), comb(n, k) <= (e*n/k)^k bounds
     its bit length by k*log2(e*n/k), and n >= 2k makes it at least 2^k.  A
     rank past the budget is refused before it is computed.
+
+    Most ranks are a few bits, so an integer bound decides them first:
+    log2(e*n/k) < n.bit_length() + 2 for every k >= 1, so a rank with
+    k*(n.bit_length() + 2) within the budget also passes the float bound,
+    without its three log2 calls.  Every other rank is decided by the float
+    bound alone, so the integer bound refuses nothing.
     """
     n, k = r + m - 1, min(m, r - 1)
-    if k > _SYM_RANK_BITS or k * (log2(n) - log2(k or 1) + log2(e)) > _SYM_RANK_BITS:
+    if k * (n.bit_length() + 2) > _SYM_RANK_BITS and (
+        k > _SYM_RANK_BITS or k * (log2(n) - log2(k or 1) + log2(e)) > _SYM_RANK_BITS
+    ):
         raise ValueError(
             f"symmetric power may have more than 2^{_SYM_RANK_BITS} summands; "
             "refusing to compute its rank"

@@ -514,6 +514,22 @@ def test_verify_help_names_the_verifier_bounds():
     _check_mode("sweep", BETA_MAX_LIMIT)
 
 
+# one digit past the bound every input integer keeps, Python's default
+# limit on converting between int and str
+PAST_DIGITS = "9" * 4301
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run with ``sys.set_int_max_str_digits(limit)``, as PYTHONINTMAXSTRDIGITS sets it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -528,6 +544,11 @@ def test_verify_help_names_the_verifier_bounds():
         ("coh", "-e", "2", "\u0663C"),
         ("coh", "-e", "2", "1_0C"),
         ("coh", "-e", " 2", "C"),
+        ("coh", "-e", PAST_DIGITS, "C"),
+        ("verify", "--mode", "sweep", "--beta-max", PAST_DIGITS),
+        ("split", f"[0,-{PAST_DIGITS}]"),
+        ("split", f"ext(0,{PAST_DIGITS},nonsplit)"),
+        ("cone", "--", f"C-{PAST_DIGITS}F"),
     ],
     ids=[
         "split_degree_underscore",
@@ -541,13 +562,37 @@ def test_verify_help_names_the_verifier_bounds():
         "coh_class_arabic_indic",
         "coh_class_underscore",
         "coh_twist_space",
+        "coh_twist_digits",
+        "verify_beta_max_digits",
+        "split_degree_digits",
+        "split_ext_digits",
+        "cone_class_digits",
     ],
 )
 def test_every_integer_is_ascii_digits(argv):
-    # int() alone takes underscores, other scripts' digits and whitespace
-    code, out, err = run_in_process(list(argv))
-    assert (code, out) == (2, "")
+    # int() alone takes underscores, other scripts' digits and whitespace,
+    # and as many digits as the interpreter's limit allows, which
+    # PYTHONINTMAXSTRDIGITS=0 lifts: the refusal is the same with it
+    results = []
+    for limit in (sys.get_int_max_str_digits(), 0):
+        with int_digit_limit(limit):
+            results.append(run_in_process(list(argv)))
+    code, out, err = results[0]
+    assert (code, out) == (2, "") and "string conversion" not in err
     assert_exit_contract(list(argv), code, out, err)
+    assert results[1] == results[0]
+
+
+def test_integers_of_4300_digits_are_read_in_any_setting():
+    # h1 = 10^4300 - 2 still prints; 10^4300 would not
+    argv = ["split", "[-" + "9" * 4300 + "]"]
+    for limit in (sys.get_int_max_str_digits(), 0):
+        with int_digit_limit(limit):
+            assert run_in_process(argv) == (
+                0,
+                f"{argv[1]}\n= {argv[1]}\nrank=1 h0=0 h1={10**4300 - 2}\n",
+                "",
+            )
 
 
 def test_default_invocation_is_char0_replay(capsys):

@@ -4,10 +4,10 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, e, log2
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirzcoh.p1 import (
@@ -15,6 +15,7 @@ from hirzcoh.p1 import (
     DegreeForm,
     SplittingParseError,
     SplittingType,
+    _sym_rank,
     classify_extension,
     format_splitting,
     parse_splitting,
@@ -325,6 +326,52 @@ def test_sym_power_rank_budget():
     for r, m in [(5, 10**7), (2, 10**4000), (5001, 10**6)]:
         st = SplittingType.from_pairs([(-1, r)]).sym_power(m)
         assert st.pairs == ((-m, comb(r + m - 1, m)),)
+
+
+RANK_REFUSAL = "symmetric power may have more than 2^100000 summands; refusing to compute its rank"
+
+
+def _float_rank_bound_accepts(r, m):
+    """The float bit-length bound k*log2(e*n/k) <= 10^5 alone: the reference for every refusal."""
+    n, k = r + m - 1, min(m, r - 1)
+    return not (k > 100_000 or k * (log2(n) - log2(k or 1) + log2(e)) > 100_000)
+
+
+rank_sizes = st.one_of(
+    st.integers(1, 60),
+    st.integers(1, 10**6),
+    st.integers(0, 110_000).map(lambda b: 2**b),
+    st.integers(1, 10**4000),
+)
+
+
+# r, m on both sides of k*(n.bit_length() + 2) = 10^5, k = min(m, r - 1)
+# and n = r + m - 1, where the integer bound stops accepting: n = 2^99997
+# and 2^99998 for k = 1, 2^49997 and 2^49998 for k = 2, 2^33330 and 2^33331
+# for k = 3, 2^18 - 1 and 2^18 for k = 5000; and for k = 1 two n the float
+# bound refuses, 2^99999 - 1 and 2^99999, which an integer bound with
+# bit_length() + 1 or + 0 would accept
+@example(2, 2**99997 - 1)
+@example(2, 2**99998 - 1)
+@example(2, 2**99999 - 2)
+@example(2, 2**99999 - 1)
+@example(3, 2**49997 - 2)
+@example(3, 2**49998 - 2)
+@example(4, 2**33330 - 3)
+@example(4, 2**33331 - 3)
+@example(2**18 - 5000, 5000)
+@example(2**18 - 4999, 5000)
+# a rank near the budget, such as r = m = 34000, takes about 0.1 s to compute
+@settings(deadline=None)
+@given(rank_sizes, rank_sizes)
+def test_sym_rank_refuses_what_the_float_bound_refuses(r, m):
+    # the integer bound in front only answers what the float bound accepts
+    if _float_rank_bound_accepts(r, m):
+        assert _sym_rank(r, m) == comb(r + m - 1, m)
+    else:
+        with pytest.raises(ValueError) as info:
+            _sym_rank(r, m)
+        assert str(info.value) == RANK_REFUSAL
 
 
 # -- derived types are built from their pairs unchecked -------------------

@@ -338,28 +338,38 @@ def test_symbolic_and_sweep_agree_on_the_controls(name):
         assert [sweep.witness[k] for k in point] == [1, 0, 196]
 
 
-def _no_counter(*args, **kwargs):
-    raise AssertionError("a Counter was built")
+def _replay_outputs():
+    """The JSON of the char 0 and 3 replays, symbolic and sweep to 6, and of the control sweeps."""
+    replays = [
+        run_full_replay(CTX2, char, mode, beta_max).to_json_dict()
+        for char in (0, 3)
+        for mode, beta_max in (("symbolic", None), ("sweep", 6))
+    ]
+    controls = [
+        certificate(CTX2, *args, mode="sweep", beta_max=6, **kwargs).to_json_dict()
+        for certificate, args, kwargs in _CONTROLS.values()
+    ]
+    return replays, controls
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the replay called what the test forbids")
 
 
 def test_replay_builds_no_counter(monkeypatch):
     # the replay's splitting types have one or two degrees each, and a
     # Counter per type cost more than the rest of the constructor
-    def outputs():
-        replays = [
-            run_full_replay(CTX2, char, mode, beta_max).to_json_dict()
-            for char in (0, 3)
-            for mode, beta_max in (("symbolic", None), ("sweep", 6))
-        ]
-        controls = [
-            certificate(CTX2, *args, mode="sweep", beta_max=6, **kwargs).to_json_dict()
-            for certificate, args, kwargs in _CONTROLS.values()
-        ]
-        return replays, controls
+    expected = _replay_outputs()
+    monkeypatch.setattr("hirzcoh.p1.Counter", _forbidden)
+    assert _replay_outputs() == expected
 
-    expected = outputs()
-    monkeypatch.setattr("hirzcoh.p1.Counter", _no_counter)
-    assert outputs() == expected
+
+def test_replay_builds_no_checked_type(monkeypatch):
+    # every type the replay derives, the balanced S^{4b} of each sweep row
+    # included, is canonical by construction and skips the checked entry point
+    expected = _replay_outputs()
+    monkeypatch.setattr(SplittingType, "from_pairs", _forbidden)
+    assert _replay_outputs() == expected
 
 
 def _sweep_point_by_point(tower, beta_max):
