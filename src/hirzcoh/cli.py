@@ -59,7 +59,14 @@ import gc
 import os
 import sys
 
-from .hirzebruch import DivisorClass, SurfaceContext, format_class, parse_class, parse_int
+from .hirzebruch import (
+    _INT_DIGITS,
+    DivisorClass,
+    SurfaceContext,
+    format_class,
+    parse_class,
+    parse_int,
+)
 
 #: Exit status when stdout is closed early: 128 + SIGPIPE, which a shell
 #: also reports for a writer that SIGPIPE killed.
@@ -383,6 +390,12 @@ def _read_command(argv: list[str]) -> tuple[Callable, list[str], dict[str, objec
 
 
 def main(argv: list[str] | None = None) -> int:
+    # every command reads and prints integers of at most _INT_DIGITS digits,
+    # whatever PYTHONINTMAXSTRDIGITS says: a lower limit would refuse inputs
+    # the grammar takes, and no limit would let str() of a huge answer run
+    # quadratic in its digits; the caller's limit comes back afterwards
+    saved_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_INT_DIGITS)
     try:
         run, args, kwargs = _read_command(sys.argv[1:] if argv is None else argv)
         # every line is built before any is written, so a refusal at any
@@ -399,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         # is still buffered to devnull, so the flush at exit cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        sys.set_int_max_str_digits(saved_digits)
 
 
 def entry() -> NoReturn:

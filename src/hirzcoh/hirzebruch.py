@@ -146,7 +146,8 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 #: The most digits an integer of any input grammar may have: Python's
 #: default bound on converting between int and str, kept here so that what
-#: the grammar accepts does not depend on PYTHONINTMAXSTRDIGITS.
+#: the grammar accepts does not depend on PYTHONINTMAXSTRDIGITS.  ``cli.main``
+#: sets the interpreter's own limit to it, so what it prints does not either.
 _INT_DIGITS = 4300
 
 _TERM_RE = re.compile(r"([+-]?)([0-9]*)([CF])")

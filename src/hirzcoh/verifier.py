@@ -499,8 +499,10 @@ def _base_row_identity(
     i.e. m >= 0 (m < 0 breaks it at b = 2).  No h^0 is evaluated.  Sweep
     mode checks every b = 1..beta_max by two routes that share no formula:
     the surface's arithmetic series ``cohomology.h0``, and the pushforward
-    f_* O(m*b*F) = O(m*b) on P^1, whose h^0 ``SplittingType.h0`` sums over
-    its one pair.  Returns the evidence, whose ``holds`` is the verdict.
+    f_* O(m*b*F) = O(m*b) on P^1, read as the twist of the one trivial type
+    O by O(m*b) through ``SplittingType.h0(twist)``, so the row builds one
+    splitting type whatever beta_max is.  Returns the evidence, whose
+    ``holds`` is the verdict.
     """
     info: dict = {
         "identity": f"h0(O({fiber_multiple}b F)) = {fiber_multiple}b + 1 = h0 on P^1",
@@ -515,9 +517,10 @@ def _base_row_identity(
     else:
         checked = list(range(1, beta_max + 1))
         info["checked_betas"] = checked
+        trivial = SplittingType((0,))
         info["holds"] = all(
-            cohomology.h0(ctx, cls) == SplittingType((cls.b,)).h0() == cls.b + 1
-            for cls in (DivisorClass(0, fiber_multiple * beta) for beta in checked)
+            cohomology.h0(ctx, DivisorClass(0, n)) == trivial.h0(n) == n + 1
+            for n in (fiber_multiple * b for b in checked)
         )
     return info
 

@@ -530,6 +530,21 @@ def int_digit_limit(limit):
         sys.set_int_max_str_digits(saved)
 
 
+def run_under_every_limit(argv):
+    """``run_in_process(argv)`` under the default digit limit, none and 640.
+
+    Returns the first result and asserts the others equal it, and that
+    ``main`` hands the caller's limit back.
+    """
+    results = []
+    for limit in (sys.get_int_max_str_digits(), 0, 640):
+        with int_digit_limit(limit):
+            results.append(run_in_process(list(argv)))
+            assert sys.get_int_max_str_digits() == limit
+    assert results[1:] == results[:1] * 2, argv
+    return results[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -573,26 +588,39 @@ def test_every_integer_is_ascii_digits(argv):
     # int() alone takes underscores, other scripts' digits and whitespace,
     # and as many digits as the interpreter's limit allows, which
     # PYTHONINTMAXSTRDIGITS=0 lifts: the refusal is the same with it
-    results = []
-    for limit in (sys.get_int_max_str_digits(), 0):
-        with int_digit_limit(limit):
-            results.append(run_in_process(list(argv)))
-    code, out, err = results[0]
+    code, out, err = run_under_every_limit(argv)
     assert (code, out) == (2, "") and "string conversion" not in err
     assert_exit_contract(list(argv), code, out, err)
-    assert results[1] == results[0]
 
 
 def test_integers_of_4300_digits_are_read_in_any_setting():
-    # h1 = 10^4300 - 2 still prints; 10^4300 would not
+    # h1 = 10^4300 - 2 still prints; 10^4300 would not.  A limit of 640
+    # digits would refuse both commands
     argv = ["split", "[-" + "9" * 4300 + "]"]
-    for limit in (sys.get_int_max_str_digits(), 0):
-        with int_digit_limit(limit):
-            assert run_in_process(argv) == (
-                0,
-                f"{argv[1]}\n= {argv[1]}\nrank=1 h0=0 h1={10**4300 - 2}\n",
-                "",
-            )
+    assert run_under_every_limit(argv) == (
+        0,
+        f"{argv[1]}\n= {argv[1]}\nrank=1 h0=0 h1={10**4300 - 2}\n",
+        "",
+    )
+    code, out, err = run_under_every_limit(["coh", "-e", "1" * 1000, "C"])
+    assert (code, err) == (0, "") and out.startswith("class: C = (a=1, b=0) on F_111")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cone", "-e", "10", "--", "9" * 4300 + "C"],
+        ["split", "[1]", *["frob:" + "7" * 4300] * 40],
+    ],
+    ids=["cone_pairing", "split_frob_chain"],
+)
+def test_answers_past_4300_digits_are_refused_in_any_setting(argv):
+    # D.C = -10 * (10^4300 - 1) has 4301 digits, and the degree after 40
+    # Frobenius pullbacks about 172 000: with no limit the first would
+    # print and the second would spend about a second in str()
+    code, out, err = run_under_every_limit(argv)
+    assert (code, out) == (2, "")
+    assert_exit_contract(argv, code, out, err)
 
 
 def test_default_invocation_is_char0_replay(capsys):

@@ -544,11 +544,40 @@ def test_base_row_sweep_needs_both_routes(m, monkeypatch):
     )
     assert not v._base_row_identity(CTX2, m, 8)["holds"]
     monkeypatch.setattr(coh, "h0", real_surface)
+    # the P^1 mutant keys on the bundle O(last), whichever type and twist
+    # the route reads it from
     real_line = SplittingType.h0
     monkeypatch.setattr(
-        SplittingType, "h0", lambda st, twist=0: real_line(st, twist) + (st.pairs == ((last, 1),))
+        SplittingType,
+        "h0",
+        lambda st, twist=0: real_line(st, twist) + (st.twist(twist).pairs == ((last, 1),)),
     )
     assert not v._base_row_identity(CTX2, m, 8)["holds"]
+
+
+@pytest.mark.parametrize("beta_max", (8, 1000))
+@pytest.mark.parametrize("m", (-2, 0, 3, 15))
+def test_base_row_sweep_builds_one_splitting_type(m, beta_max, monkeypatch):
+    # the P^1 route reads every b from one trivial type, and the surface
+    # route is still evaluated at every b
+    built, surface = [], []
+    real_type, real_surface = v.SplittingType, coh.h0
+
+    def counted_type(*args):
+        built.append(args)
+        return real_type(*args)
+
+    def counted_surface(ctx, d):
+        surface.append(d)
+        return real_surface(ctx, d)
+
+    monkeypatch.setattr(v, "SplittingType", counted_type)
+    monkeypatch.setattr(coh, "h0", counted_surface)
+    info = v._base_row_identity(CTX2, m, beta_max)
+    assert len(built) == 1
+    assert info["holds"] == (m >= 0)
+    if m >= 0:
+        assert surface == [DivisorClass(0, m * b) for b in range(1, beta_max + 1)]
 
 
 def test_rows_agree_on_their_twist_numbers():
