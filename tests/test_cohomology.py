@@ -70,8 +70,11 @@ def test_brute_force_bound_refusal():
         brute_force_h0(CTX2, DivisorClass(10001, 0))
     with pytest.raises(ValueError, match="10000"):
         brute_force_h0(CTX2, DivisorClass(0, -10001))
-    # the bound itself is inside the domain
+    with pytest.raises(ValueError, match="10000"):
+        brute_force_h0(CTX2, DivisorClass(0, 10001))
+    # the bound itself is inside the domain, on either coefficient
     assert brute_force_h0(CTX2, DivisorClass(0, BRUTE_FORCE_BOUND)) == BRUTE_FORCE_BOUND + 1
+    assert brute_force_h0(CTX2, DivisorClass(BRUTE_FORCE_BOUND, 0)) == 1
 
 
 def _classes(bound):

@@ -133,6 +133,7 @@ def test_first_section_is_the_first_positive_point(s, slope, n):
 
 
 def test_degrees_refuses_past_the_expand_limit():
+    assert len(SplittingType.from_pairs([(0, 1_000_000)]).degrees()) == 1_000_000
     with pytest.raises(ValueError, match="too large to expand"):
         SplittingType.from_pairs([(0, 1_000_001)]).degrees()
 
@@ -594,6 +595,23 @@ def test_degree_form_witness_is_sound(c0, cb, cl):
         beta, ell = witness
         assert beta >= 1 and ell >= 0
         assert form(beta, ell) >= 0
+
+
+def test_degree_form_region_exhaustive():
+    # every form with coefficients in -9..9 that is >= 0 somewhere on the
+    # region is >= 0 on this grid: at b = 1 and l = ceil(-(c0 + cb)/cl) <= 18
+    # when cl > 0, else at l = 0 and b = ceil(-c0/cb) <= 9
+    grid = [(b, ell) for b in range(1, 11) for ell in range(19)]
+    for c0, cb, cl in product(range(-9, 10), repeat=3):
+        form = DegreeForm(c0, cb, cl)
+        reaches = any(c0 + cb * b + cl * ell >= 0 for b, ell in grid)
+        assert form.is_negative_on_region() is not reaches, form
+        witness = form.nonnegative_witness()
+        if reaches:
+            beta, ell = witness
+            assert beta >= 1 and ell >= 0 and form(beta, ell) >= 0, form
+        else:
+            assert witness is None, form
 
 
 def test_degree_form_arithmetic():

@@ -57,7 +57,26 @@ def test_restriction_certificate_reads_ext_dim():
     empty = v.ExtensionDatum(-C - 4 * F, DivisorClass(0, 0), True)
     rec = nonsplit_restriction_certificate(CTX2, empty)
     assert not rec.passed
-    assert rec.witness == {"h1_structure_sheaf": 0, "h1_O_C_of_C": 1, "ext_dim": 0}
+    assert rec.to_json_dict() == {
+        "id": "restriction",
+        "title": "restriction of the extension to C and to a fiber",
+        "mode": "exact",
+        "status": "FAIL",
+        "headline": (
+            "E|_C = [-1,-1] (nonsplit), E|_fiber = [-1,0] (splits); "
+            "premises h^1(O_X) = 0, h^1(O_C(C)) = 1"
+        ),
+        "degree_form": None,
+        "details": {
+            "h1_structure_sheaf": 0,
+            "restriction_of_ext_classes": "injective iff h^1(O_X) = 0",
+            "O_C_of_C_degree": -2,
+            "h1_O_C_of_C": 1,
+            "E_restricted_to_C": "[-1,-1]",
+            "E_restricted_to_fiber": "[-1,0]",
+        },
+        "witness": {"h1_structure_sheaf": 0, "h1_O_C_of_C": 1, "ext_dim": 0},
+    }
     datum = build_extension(CTX2)
     assert datum._replace(nonsplit=False) == split_control_datum(CTX2)
     for passing in (datum, split_control_datum(CTX2)):
@@ -66,6 +85,15 @@ def test_restriction_certificate_reads_ext_dim():
     assert v._extension_record(SurfaceContext(3))[1].details["ext_dim"] == 2
     with pytest.raises(AttributeError):
         datum.nonsplit = False
+
+
+def test_restriction_certificate_reads_sub_minus_quot():
+    # sub - quot = -2C: the class group h^1(O(-2C)) = 3 is nonzero, but the
+    # gap on C is -2C.C = +4, so the restricted class lands in h^1(O_C(4)) = 0
+    rec = nonsplit_restriction_certificate(CTX2, v.ExtensionDatum(H, 2 * C + H, True))
+    assert not rec.passed
+    assert rec.witness == {"h1_structure_sheaf": 0, "h1_O_C_of_C": 0, "ext_dim": 3}
+    assert rec.details["O_C_of_C_degree"] == 4
 
 
 def _vanishing_records(datum, mode, beta_max):
@@ -82,11 +110,13 @@ def test_vanishing_certificates_refuse_a_datum_without_a_class(monkeypatch, mode
     # called directly, without the restriction record's gate: h^1(O(-C-4F)) = 0
     name = "nonsplit class exists: h^1(O(sub - quot)) >= 1"
     empty = v.ExtensionDatum(-C - 4 * F, DivisorClass(0, 0), True)
-    for rec in _vanishing_records(empty, mode, beta_max):
-        assert not rec.passed, rec.claim_id
-        assert rec.witness == {"error": f"{name} failed", "ext_dim": 0}, rec.claim_id
-        assert rec.headline == f"premise failed: {name}; no h^0 computed"
-        assert rec.degree_form is None and "evaluations" not in rec.details
+    # h^1(O(-C)) = 0, though h^1(O(quot - sub)) = h^1(O(C)) = 1
+    for datum in (empty, v.ExtensionDatum(DivisorClass(0, 0), C, True)):
+        for rec in _vanishing_records(datum, mode, beta_max):
+            assert not rec.passed, rec.claim_id
+            assert rec.witness == {"error": f"{name} failed", "ext_dim": 0}, rec.claim_id
+            assert rec.headline == f"premise failed: {name}; no h^0 computed"
+            assert rec.degree_form is None and "evaluations" not in rec.details
     # the same pair split needs no class, and the replay's datum has one
     for datum in (empty._replace(nonsplit=False), build_extension(CTX2)):
         for rec in _vanishing_records(datum, mode, beta_max):
@@ -129,7 +159,25 @@ def test_restriction_certificate_ambiguous_for_steeper_twist():
     ctx = SurfaceContext(4)
     rec = nonsplit_restriction_certificate(ctx, build_extension(ctx))
     assert not rec.passed
-    assert "ambiguous" in rec.witness["error"]
+    error = (
+        "ambiguous splitting type: a nonsplit extension of O(0) by O(-4) is not "
+        "determined by nonsplitness alone (degree gap -4)"
+    )
+    assert rec.to_json_dict() == {
+        "id": "restriction",
+        "title": "restriction of the extension to C and to a fiber",
+        "mode": "exact",
+        "status": "FAIL",
+        "headline": f"restriction type undetermined: {error}",
+        "degree_form": None,
+        "details": {
+            "h1_structure_sheaf": 0,
+            "restriction_of_ext_classes": "injective iff h^1(O_X) = 0",
+            "O_C_of_C_degree": -4,
+            "h1_O_C_of_C": 3,
+        },
+        "witness": {"error": error},
+    }
 
 
 # -- restriction of towers ---------------------------------------------------
