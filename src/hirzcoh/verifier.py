@@ -30,8 +30,10 @@ l of it, and the first l with sections, if any, is the witness.
 Deliberately corrupted inputs (the split direct sum, an inflated twist)
 must make the affected certificate FAIL; the test suite checks that they do.
 
-Every record is a pure computation; the orchestrator merges them in a
-fixed claim order.
+Every record is a pure computation: each certificate builds a ``Row`` of
+premises and a conclusion (or a tower to decide), and one evaluator,
+``_certify``, turns any row into its record.  The orchestrator merges the
+records in a fixed claim order.
 """
 
 from __future__ import annotations
@@ -126,8 +128,9 @@ def _leaf_restriction(
     ctx: SurfaceContext, datum: ExtensionDatum, curve: DivisorClass
 ) -> SplittingType:
     # The nonsplit flag transfers to the restriction to C on the strength
-    # of the restriction certificate (injectivity of extension classes);
-    # on a fiber F the extension group vanishes and classify forces a split.
+    # of the restriction certificate (injectivity of extension classes); on
+    # a fiber F the extension group vanishes only when (sub - quot).F >= -1,
+    # and there classify forces a split.
     return classify_extension(
         ctx.intersect(datum.sub, curve), ctx.intersect(datum.quot, curve), datum.nonsplit
     )
@@ -236,125 +239,17 @@ class ClaimRecord:
         }
 
 
-# --------------------------------------------------------------------------
-# construction certificates
-# --------------------------------------------------------------------------
-
-
-def build_extension(ctx: SurfaceContext) -> ExtensionDatum:
-    """The nonsplit extension of O by O(C), when one exists.
-
-    The group Ext^1(O, O(C)) = H^1(O(C)) has dimension e - 1 (pushforward
-    degrees {0, -e}), so e >= 2 is exactly the range with a nonzero class
-    to choose.
-    """
-    if cohomology.h1(ctx, C) == 0:
-        raise ValueError(
-            f"no nonsplit extension exists on F_{ctx.e}: "
-            "Ext^1(O, O(C)) = H^1(O(C)) = 0"
-        )
-    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=True)
-
-
-def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
-    """The split direct sum O(C) + O: the negative control.
-
-    It is the same on every surface; ``ctx`` stays for its callers.
-    """
-    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=False)
-
-
-def _default_datum(ctx: SurfaceContext, datum: ExtensionDatum | None) -> ExtensionDatum:
-    return build_extension(ctx) if datum is None else datum
-
-
-def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
-    """The extension setup record, and the datum when one exists."""
-    title = "nonsplit extension of O by O(C)"
-    try:
-        datum = build_extension(ctx)
-    except ValueError as exc:
-        witness = {"error": str(exc)}
-        return None, ClaimRecord("extension", title, "exact", str(exc), None, {}, witness)
-    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
-    headline = (
-        f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {ext_dim}; "
-        f"nonsplit class chosen"
-    )
-    details = {
-        "sub": format_class(datum.sub),
-        "quot": format_class(datum.quot),
-        "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
-        "ext_dim": ext_dim,
-        "nonsplit": datum.nonsplit,
-    }
-    return datum, ClaimRecord("extension", title, "exact", headline, None, details)
-
-
-def _restrict_datum(
-    ctx: SurfaceContext, datum: ExtensionDatum
-) -> tuple[SplittingType, SplittingType] | tuple[str, dict]:
-    """(E|_C, E|_F), or the refusal's (headline, witness) when a type is ambiguous."""
-    try:
-        return _leaf_restriction(ctx, datum, C), _leaf_restriction(ctx, datum, F)
-    except AmbiguousExtensionError as exc:
-        return f"restriction type undetermined: {exc}", {"error": str(exc)}
-
-
-def nonsplit_restriction_certificate(
-    ctx: SurfaceContext, datum: ExtensionDatum
-) -> ClaimRecord:
-    """Certifies that the extension stays nonsplit when restricted to C.
-
-    Premises: a nonsplit datum needs a nonzero class, so its group
-    Ext^1 = H^1(O(sub - quot)) on the surface is nonzero (``ext_dim`` in a
-    FAIL witness); h^1(O_X) = 0 makes restriction of extension classes to C
-    injective; and h^1 of O_C(C) on C is nonzero so the restricted class
-    lands in a group that can hold it.  The record also carries both
-    restriction types; on a fiber the extension group vanishes, so the
-    restricted sequence splits no matter what.
-    """
-    h1_structure = cohomology.h1(ctx, ZERO)
-    gap_on_c = ctx.intersect(datum.sub - datum.quot, C)  # -e for the replay datum
-    target_h1 = SplittingType((gap_on_c,)).h1()
-    details: dict = {
-        "h1_structure_sheaf": h1_structure,
-        "restriction_of_ext_classes": "injective iff h^1(O_X) = 0",
-        "O_C_of_C_degree": gap_on_c,
-        "h1_O_C_of_C": target_h1,
-    }
-    res_c, res_f = _restrict_datum(ctx, datum)
-    if isinstance(res_c, str):
-        headline, witness = res_c, res_f
-    else:
-        details["E_restricted_to_C"] = format_splitting(res_c)
-        details["E_restricted_to_fiber"] = format_splitting(res_f)
-        kind = "nonsplit" if datum.nonsplit else "split (control)"
-        headline = (
-            f"E|_C = {format_splitting(res_c)} ({kind}), "
-            f"E|_fiber = {format_splitting(res_f)} (splits); "
-            f"premises h^1(O_X) = {h1_structure}, h^1(O_C(C)) = {target_h1}"
-        )
-        ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
-        ok = h1_structure == 0 and (not datum.nonsplit or min(ext_dim, target_h1) >= 1)
-        witness = None if ok else {
-            "h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1, "ext_dim": ext_dim
-        }
-    title = "restriction of the extension to C and to a fiber"
-    return ClaimRecord("restriction", title, "exact", headline, None, details, witness)
-
-
-# --------------------------------------------------------------------------
-# vanishing machinery shared by the h^0 = 0 certificates
-# --------------------------------------------------------------------------
-
-
-#: A premise of a vanishing certificate: (name, holds, FAIL witness).
+#: A premise of a row: (headline if it fails, holds, FAIL witness).
 Premise = tuple[str, bool, dict]
 
 
 def _premise(name: str, holds: bool, **facts) -> Premise:
-    return (name, holds, {"error": f"{name} failed", **facts})
+    return (f"premise failed: {name}; no h^0 computed", holds, {"error": f"{name} failed", **facts})
+
+
+def _undetermined(exc: AmbiguousExtensionError) -> Premise:
+    """The premise that a restriction type is determined, failed at ``exc``."""
+    return (f"restriction type undetermined: {exc}", False, {"error": str(exc)})
 
 
 def _polarization_identity(n: int, m: int) -> dict:
@@ -366,91 +261,75 @@ def _polarization_identity(n: int, m: int) -> dict:
     }
 
 
-class VanishingSpec(NamedTuple):
-    """One h^0(C, tower|_C) = 0 certificate as a row for ``_certify``.
+class Row(NamedTuple):
+    """One record as data for ``_certify``: every certificate builds one.
 
-    A ``tower`` whose datum is None gets ``build_extension(ctx)``.
+    An exact row (``tower`` None) passes with ``conclusion`` as its headline
+    when all its ``premises`` hold.  A vanishing row certifies
+    h^0(C, tower|_C) = 0 and its PASS headline is "<mode evidence>;
+    <conclusion>"; a tower whose datum is None gets ``build_extension(ctx)``.
     ``details`` is the record's details dict, which the evaluator extends; a
     row that rests on a twist identity n*H = n*C + m*F places
-    ``_polarization_identity(n, m)`` in it.  ``premises`` are the row's own.
-    ``base_row`` adds the base-row identity h^0(O(m*b*F)) = m*b + 1, with m
-    read from the tower's twist m*b*F.  Each (n, m) is written once:
-    ``_PEEL`` for claim3 and charp, and in remark_t's row.  A PASS headline
-    is "<mode evidence>; <conclusion>".
+    ``_polarization_identity(n, m)`` in it.  ``base_row`` adds the base-row
+    identity h^0(O(m*b*F)) = m*b + 1, with m read from the tower's twist
+    m*b*F.  Each (n, m) is written once: ``_PEEL`` for claim3 and charp, and
+    in remark_t's row.
     """
 
     claim_id: str
     title: str
-    tower: Tower
+    tower: Tower | None
     details: dict
     conclusion: str
     premises: tuple[Premise, ...] = ()
     base_row: bool = False
 
 
-def _sweep_vanishing(
-    ctx: SurfaceContext, tower: Tower, beta_max: int
-) -> tuple[int, dict | None]:
-    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= n*b; first failure wins.
-
-    The tower's b-independent base, its type and its twist form, is built
-    once, and the tower once per b as a splitting type; ``first_section``
-    then decides every l of that b, twisted by ``slope * l``, from the
-    type's top degree at the two ends of the row.
-    The splitting type decides each row, never the degree form.  Returns
-    the grid points decided up to and including the witness, and the
-    witness with its h^0.  n is ``_PEEL``'s.
-    """
-    base, evaluations = _restrict_base(ctx, tower), 0
-    for beta in range(1, beta_max + 1):
-        st, slope = _restrict_numeric(ctx, tower, beta, base)
-        ell = st.first_section(slope, _PEEL[0] * beta)
-        if ell is not None:
-            return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": st.h0(slope * ell)}
-        evaluations += _PEEL[0] * beta + 1
-    return evaluations, None
-
-
 def _certify(
-    ctx: SurfaceContext, spec: VanishingSpec, mode: str, beta_max: int | None
+    ctx: SurfaceContext, row: Row, mode: str = "exact", beta_max: int | None = None
 ) -> ClaimRecord:
-    """Evaluate a vanishing certificate with one rule.
+    """Turn a row into its record with one rule.
 
-    It checks the mode and ``beta_max``, then fills in a missing datum.  The
-    premises come next, in this order: the ampleness of H, a nonzero
-    extension class for a nonsplit datum (h^1(O(sub - quot)) >= 1, with
-    ``ext_dim`` in its FAIL witness), the row's own, its polarization
-    identity, then the base-row identity at the tower's
-    F-twist m when the row sets ``base_row`` (its evidence goes to
-    ``details["base_row"]`` whatever the outcome).  The first that fails is
-    the FAIL witness and no h^0 is computed.  Otherwise the top degree form
-    of the restriction decides (symbolic mode) or the grid sweep over
-    0 <= l <= n*b, n from ``_PEEL``, does (sweep mode).
+    The first premise that fails gives the headline and the FAIL witness,
+    and nothing after it is computed.  Otherwise an exact row passes with
+    its conclusion; its ``mode`` is "exact", or for sigma the mode of its
+    premise records.  A vanishing row first checks the mode and ``beta_max``
+    and fills in a missing datum; its premises are, in this order: the
+    ampleness of H, a nonzero extension class for a nonsplit datum
+    (h^1(O(sub - quot)) >= 1, with ``ext_dim`` in its FAIL witness), the
+    row's own, its polarization identity, then the base-row identity at the
+    tower's F-twist m when the row sets ``base_row`` (its evidence goes to
+    ``details["base_row"]`` whatever the outcome).  When they hold, the top
+    degree form of the restriction decides (symbolic mode) or the grid sweep
+    over 0 <= l <= n*b, n from ``_PEEL``, does (sweep mode).
     """
-    _check_mode(mode, beta_max)
-    datum = _default_datum(ctx, spec.tower.datum)
-    tower = spec.tower._replace(datum=datum)
-    details = spec.details
-    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
-    premises = [
-        _premise("polarization H ample on F_e", ctx.is_ample(H)),
-        _premise(
-            "nonsplit class exists: h^1(O(sub - quot)) >= 1",
-            not datum.nonsplit or ext_dim >= 1,
-            ext_dim=ext_dim,
-        ),
-        *spec.premises,
-    ]
-    if "polarization_identity" in details:
-        name = f"polarization identity {details['polarization_identity']}"
-        premises.append(_premise(name, details["polarization_identity_holds"]))
-    if spec.base_row:
-        details["base_row"] = _base_row_identity(ctx, tower.b.cb, beta_max)
-        premises.append(_premise("base-row identity", details["base_row"]["holds"]))
-    for name, holds, witness in premises:
+    tower, premises, details = row.tower, row.premises, row.details
+    if tower is not None:
+        _check_mode(mode, beta_max)
+        if tower.datum is None:
+            tower = tower._replace(datum=build_extension(ctx))
+        datum = tower.datum
+        ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+        premises = [
+            _premise("polarization H ample on F_e", ctx.is_ample(H)),
+            _premise(
+                "nonsplit class exists: h^1(O(sub - quot)) >= 1",
+                not datum.nonsplit or ext_dim >= 1,
+                ext_dim=ext_dim,
+            ),
+            *premises,
+        ]
+        if "polarization_identity" in details:
+            name = f"polarization identity {details['polarization_identity']}"
+            premises.append(_premise(name, details["polarization_identity_holds"]))
+        if row.base_row:
+            details["base_row"] = _base_row_identity(ctx, tower.b.cb, beta_max)
+            premises.append(_premise("base-row identity", details["base_row"]["holds"]))
+    for headline, holds, witness in premises:
         if not holds:
-            headline = f"premise failed: {name}; no h^0 computed"
-            return ClaimRecord(spec.claim_id, spec.title, mode, headline, None, details, witness)
+            return ClaimRecord(row.claim_id, row.title, mode, headline, None, details, witness)
+    if tower is None:
+        return ClaimRecord(row.claim_id, row.title, mode, row.conclusion, None, details)
     form, rank = _restrict_symbolic(ctx, tower)
     details.update(rank=rank, region="b >= 1, l >= 0")
 
@@ -479,8 +358,138 @@ def _certify(
                 f"h^0 = {witness['h0']} > 0 at (b, l) = ({witness['beta']}, {witness['ell']})"
             )
     if witness is None:
-        headline = f"{evidence}; {spec.conclusion}"
-    return ClaimRecord(spec.claim_id, spec.title, mode, headline, form, details, witness)
+        headline = f"{evidence}; {row.conclusion}"
+    return ClaimRecord(row.claim_id, row.title, mode, headline, form, details, witness)
+
+
+# --------------------------------------------------------------------------
+# construction certificates
+# --------------------------------------------------------------------------
+
+
+def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
+    """The extension setup record, and the datum when one exists.
+
+    The group Ext^1(O, O(C)) = H^1(O(C)) has dimension e - 1 (pushforward
+    degrees {0, -e}), so e >= 2 is exactly the range with a nonzero class
+    to choose.
+    """
+    datum = ExtensionDatum(sub=C, quot=ZERO, nonsplit=True)
+    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+    error = f"no nonsplit extension exists on F_{ctx.e}: Ext^1(O, O(C)) = H^1(O(C)) = 0"
+    details = {
+        "sub": format_class(datum.sub),
+        "quot": format_class(datum.quot),
+        "ext_group": "Ext^1(O, O(C)) = H^1(O(C))",
+        "ext_dim": ext_dim,
+        "nonsplit": datum.nonsplit,
+    }
+    row = Row(
+        "extension",
+        "nonsplit extension of O by O(C)",
+        None,
+        details if ext_dim else {},
+        f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {ext_dim}; nonsplit class chosen",
+        ((error, ext_dim >= 1, {"error": error}),),
+    )
+    record = _certify(ctx, row)
+    return (datum if record.passed else None), record
+
+
+def build_extension(ctx: SurfaceContext) -> ExtensionDatum:
+    """The nonsplit extension of O by O(C), when one exists.
+
+    It is read from the extension record; without a nonzero class this
+    raises ValueError with the record's headline.
+    """
+    datum, record = _extension_record(ctx)
+    if datum is None:
+        raise ValueError(record.headline)
+    return datum
+
+
+def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
+    """The split direct sum O(C) + O: the negative control.
+
+    It is the same on every surface; ``ctx`` stays for its callers.
+    """
+    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=False)
+
+
+def nonsplit_restriction_certificate(
+    ctx: SurfaceContext, datum: ExtensionDatum
+) -> ClaimRecord:
+    """Certifies that the extension stays nonsplit when restricted to C.
+
+    Premises: a nonsplit datum needs a nonzero class, so its group
+    Ext^1 = H^1(O(sub - quot)) on the surface is nonzero (``ext_dim`` in a
+    FAIL witness); h^1(O_X) = 0 makes restriction of extension classes to C
+    injective; and h^1 of O_C(C) on C is nonzero so the restricted class
+    lands in a group that can hold it.  The record also carries both
+    restriction types, each labelled by whether it is the split type
+    {sub.X, quot.X}.  On a fiber the extension group H^1(O((sub - quot).F))
+    vanishes exactly when (sub - quot).F >= -1, as for the replay datum, and
+    then the restricted sequence splits.
+    """
+    h1_structure = cohomology.h1(ctx, ZERO)
+    gap_on_c = ctx.intersect(datum.sub - datum.quot, C)  # -e for the replay datum
+    target_h1 = SplittingType((gap_on_c,)).h1()
+    details: dict = {
+        "h1_structure_sheaf": h1_structure,
+        "restriction_of_ext_classes": "injective iff h^1(O_X) = 0",
+        "O_C_of_C_degree": gap_on_c,
+        "h1_O_C_of_C": target_h1,
+    }
+    title = "restriction of the extension to C and to a fiber"
+    try:
+        res_c, res_f = (_leaf_restriction(ctx, datum, curve) for curve in (C, F))
+    except AmbiguousExtensionError as exc:
+        return _certify(ctx, Row("restriction", title, None, details, "", (_undetermined(exc),)))
+    details["E_restricted_to_C"] = format_splitting(res_c)
+    details["E_restricted_to_fiber"] = format_splitting(res_f)
+    split = datum._replace(nonsplit=False)
+    kind_c, kind_f = (
+        "splits" if st == _leaf_restriction(ctx, split, curve) else "nonsplit"
+        for st, curve in ((res_c, C), (res_f, F))
+    )
+    headline = (
+        f"E|_C = {format_splitting(res_c)} ({kind_c if datum.nonsplit else 'split (control)'}), "
+        f"E|_fiber = {format_splitting(res_f)} ({kind_f}); "
+        f"premises h^1(O_X) = {h1_structure}, h^1(O_C(C)) = {target_h1}"
+    )
+    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+    ok = h1_structure == 0 and (not datum.nonsplit or min(ext_dim, target_h1) >= 1)
+    witness = {"h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1, "ext_dim": ext_dim}
+    stays_nonsplit = (headline, ok, witness)  # a FAIL keeps the headline with both types
+    return _certify(ctx, Row("restriction", title, None, details, headline, (stays_nonsplit,)))
+
+
+# --------------------------------------------------------------------------
+# vanishing machinery shared by the h^0 = 0 certificates
+# --------------------------------------------------------------------------
+
+
+def _sweep_vanishing(
+    ctx: SurfaceContext, tower: Tower, beta_max: int
+) -> tuple[int, dict | None]:
+    """Check h^0 = 0 over 1 <= b <= beta_max, 0 <= l <= n*b; first failure wins.
+
+    The tower's b-independent base, its type and its twist form, is built
+    once, and the tower once per b as a splitting type; ``first_section``
+    then decides every l of that b, twisted by ``slope * l``, from the
+    type's top degree at the two ends of the row.
+    The splitting type decides each row, never the degree form.  Returns
+    the grid points decided up to and including the witness, and the
+    witness with its h^0.  n is ``_PEEL``'s.
+    """
+    base, evaluations = _restrict_base(ctx, tower), 0
+    for beta in range(1, beta_max + 1):
+        st, slope = _restrict_numeric(ctx, tower, beta, base)
+        ell = st.first_section(slope, _PEEL[0] * beta)
+        if ell is not None:
+            return evaluations + ell + 1, {"beta": beta, "ell": ell, "h0": st.h0(slope * ell)}
+        evaluations += _PEEL[0] * beta + 1
+    return evaluations, None
 
 
 def _base_row_identity(
@@ -545,7 +554,7 @@ def peeling_vanishing_certificate(
     then identifies H^0 at the 15b*F twist with H^0 at the 5b*H twist.
     """
     n, m = _PEEL
-    spec = VanishingSpec(
+    row = Row(
         "claim3",
         "vanishing on C of the peeled symmetric-power columns",
         Tower(datum, sym=4, a=ELL, b=BETA.scale(m)),
@@ -556,7 +565,7 @@ def peeling_vanishing_certificate(
         },
         conclusion="every column inclusion is bijective on H^0",
     )
-    return _certify(ctx, spec, mode, beta_max)
+    return _certify(ctx, row, mode, beta_max)
 
 
 def base_row_certificate(
@@ -578,7 +587,7 @@ def base_row_certificate(
     the degree form vanish identically and the certificate must FAIL.
     """
     m = fiber_multiple
-    spec = VanishingSpec(
+    row = Row(
         "claim4",
         "zero map on global sections into the base-pulled-back twist",
         Tower(datum, sym=4, b=BETA.scale(m)),
@@ -589,7 +598,7 @@ def base_row_certificate(
         ),
         base_row=True,
     )
-    return _certify(ctx, spec, mode, beta_max)
+    return _certify(ctx, row, mode, beta_max)
 
 
 def quotient_zero_conclusion(
@@ -610,13 +619,13 @@ def quotient_zero_conclusion(
     both are symbolic, else the smallest grid bound a sweep premise reached.
     """
     bounds = [r.details.get("beta_max") for r in (peeling, base_row) if r.mode == "sweep"]
-    mode = "sweep" if bounds else "symbolic"
-    gate = peeling.passed and base_row.passed
+    gate = {"claim3": peeling.status, "claim4": base_row.status}
     details: dict = {
-        "gate": {"claim3": peeling.status, "claim4": base_row.status},
+        "gate": gate,
         "surjection": "S^{4b}(S^4 E)(5bH) ->> O(5bH), induced by E ->> O",
     }
-    if gate:
+    holds, conclusion = peeling.passed and base_row.passed, ""
+    if holds:  # only then has every sweep premise its beta_max
         quantifier = f"1 <= b <= {min(bounds)} (finite evidence)" if bounds else "all b >= 1"
         details["quantifier"] = quantifier
         details["ggg_argument"] = (
@@ -634,16 +643,14 @@ def quotient_zero_conclusion(
             "the polarization twist; pseudo-effectivity would descend along that "
             "cover, so this certificate refutes it upstream too"
         )
-        headline = (
+        conclusion = (
             f"H^0(S^{{4b}}(S^4 E)(5bH) ->> O(5bH)) = 0 for {quantifier}; "
             "S^4(E)(H) is not pseudo-effective"
         )
-        witness = None
-    else:
-        headline = "no conclusion emitted: a premise certificate failed"
-        witness = {"gate": details["gate"]}
+    gated = ("no conclusion emitted: a premise certificate failed", holds, {"gate": gate})
     title = "zero map on global sections of the quotient surjection"
-    return ClaimRecord("sigma", title, mode, headline, None, details, witness)
+    row = Row("sigma", title, None, details, conclusion, (gated,))
+    return _certify(ctx, row, "sweep" if bounds else "symbolic")
 
 
 def frobenius_certificate(
@@ -671,7 +678,7 @@ def frobenius_certificate(
     q = p**k
     boundary = m - ALPHA * q
     sub_twisted = q * C + H
-    spec = VanishingSpec(
+    row = Row(
         "charp",
         f"Frobenius-pullback vanishing in characteristic {p}",
         Tower(datum, frob=q, a=ELL, b=BETA.scale(m)),
@@ -699,7 +706,7 @@ def frobenius_certificate(
         ),
         base_row=True,
     )
-    return _certify(ctx, spec, mode, beta_max)
+    return _certify(ctx, row, mode, beta_max)
 
 
 def direct_not_psef_certificate(
@@ -716,7 +723,7 @@ def direct_not_psef_certificate(
     restrict bijectively to C.
     """
     n, m = 1, 3
-    spec = VanishingSpec(
+    row = Row(
         "remark_t",
         "E itself is not pseudo-effective",
         Tower(datum, a=ELL, b=BETA.scale(m)),
@@ -728,7 +735,7 @@ def direct_not_psef_certificate(
         conclusion="E itself is not pseudo-effective",
         base_row=True,
     )
-    return _certify(ctx, spec, mode, beta_max)
+    return _certify(ctx, row, mode, beta_max)
 
 
 def almost_nef_evidence(
@@ -742,38 +749,38 @@ def almost_nef_evidence(
     candidate exceptional locus.  This is evidence for almost nefness, not
     a proof: no other curves are controlled here.
     """
-    datum = _default_datum(ctx, datum)
-    c_type, fiber_type = _restrict_datum(ctx, datum)
-    if isinstance(c_type, str):
-        headline, witness, details = c_type, fiber_type, {}
-    else:
-        split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
-        rows = [
-            {"curve": curve, "type": format_splitting(st), "nef": st.is_nef()}
-            for curve, st in (
-                ("fiber", fiber_type),
-                ("C", c_type),
-                ("C (split control)", split_on_c),
-            )
-        ]
-        headline = ", ".join(
-            f"E|_{row['curve']} = {row['type']} {'nef' if row['nef'] else 'not nef'}"
-            for row in rows[:2]
-        ) + "; C is the exceptional curve (evidence, not proof)"
-        details = {
-            "restrictions": rows,
-            "label": "evidence, not proof",
-            "exceptional_locus": "C",
-            "caveat": (
-                "almost nefness asks for nefness outside a countable family "
-                "of subvarieties; only fibers and C are checked here, and "
-                "stability of almost nefness under extension is not reproved"
-            ),
-        }
-        ok = fiber_type.is_nef() and not c_type.is_nef()
-        witness = None if ok else {"restrictions": rows}
+    if datum is None:
+        datum = build_extension(ctx)
     title = "nefness evidence by restriction"
-    return ClaimRecord("almost_nef", title, "exact", headline, None, details, witness)
+    try:
+        c_type, fiber_type = (_leaf_restriction(ctx, datum, curve) for curve in (C, F))
+    except AmbiguousExtensionError as exc:
+        return _certify(ctx, Row("almost_nef", title, None, {}, "", (_undetermined(exc),)))
+    split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
+    rows = [
+        {"curve": curve, "type": format_splitting(st), "nef": st.is_nef()}
+        for curve, st in (
+            ("fiber", fiber_type),
+            ("C", c_type),
+            ("C (split control)", split_on_c),
+        )
+    ]
+    headline = ", ".join(
+        f"E|_{row['curve']} = {row['type']} {'nef' if row['nef'] else 'not nef'}"
+        for row in rows[:2]
+    ) + "; C is the exceptional curve (evidence, not proof)"
+    details = {
+        "restrictions": rows,
+        "label": "evidence, not proof",
+        "exceptional_locus": "C",
+        "caveat": (
+            "almost nefness asks for nefness outside a countable family "
+            "of subvarieties; only fibers and C are checked here, and "
+            "stability of almost nefness under extension is not reproved"
+        ),
+    }
+    nef_outside_c = (headline, fiber_type.is_nef() and not c_type.is_nef(), {"restrictions": rows})
+    return _certify(ctx, Row("almost_nef", title, None, details, headline, (nef_outside_c,)))
 
 
 # --------------------------------------------------------------------------

@@ -131,6 +131,25 @@ def test_vanishing_certificates_refuse_a_datum_without_a_class(monkeypatch, mode
         assert rec.witness == {"error": "polarization H ample on F_e failed"}, rec.claim_id
 
 
+def test_restriction_labels_follow_the_types():
+    # each type is labelled by whether it is the split type {sub.X, quot.X}:
+    # the gap +4 on C kills the class, so E|_C is the split [-3,1], while the
+    # gap -2 on a fiber leaves the nonsplit [2,2]
+    rec = nonsplit_restriction_certificate(CTX2, v.ExtensionDatum(H, 2 * C + H, True))
+    assert rec.headline == (
+        "E|_C = [-3,1] (splits), E|_fiber = [2,2] (nonsplit); "
+        "premises h^1(O_X) = 0, h^1(O_C(C)) = 0"
+    )
+    # a nonsplit request with no class on C (gap +2) names the split type
+    rec = nonsplit_restriction_certificate(CTX2, v.ExtensionDatum(DivisorClass(0, 0), C, True))
+    assert rec.headline.startswith("E|_C = [-2,0] (splits), E|_fiber = [0,1] (splits); ")
+    # the replay datum and the split control keep their labels
+    rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
+    assert rec.headline.startswith("E|_C = [-1,-1] (nonsplit), E|_fiber = [0,1] (splits); ")
+    rec = nonsplit_restriction_certificate(CTX2, split_control_datum(CTX2))
+    assert rec.headline.startswith("E|_C = [-2,0] (split (control)), E|_fiber = [0,1] (splits); ")
+
+
 def test_restriction_certificate():
     rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
     assert rec.passed
@@ -203,7 +222,7 @@ def test_restrict_numeric_frobenius_degrees():
 
 
 def _spec(certificate, *args, **kwargs):
-    """The VanishingSpec a certificate hands to ``_certify``, with the
+    """The Row a certificate hands to ``_certify``, with the
     default datum filled in as ``_certify`` fills it."""
     seen = []
     real = v._certify
@@ -632,7 +651,7 @@ def test_rows_agree_on_their_twist_numbers():
     # every base-row tower twists by a multiple m*b*F alone and its base-row
     # identity is read at that m, and claim3 and claim4 (so sigma) meet at
     # one multiple of F
-    assert "fiber_multiple" not in v.VanishingSpec._fields
+    assert "fiber_multiple" not in v.Row._fields
     for name, (certificate, args, kwargs, _) in _TOWERS.items():
         spec = _spec(certificate, *args, **kwargs)
         if spec.base_row:
