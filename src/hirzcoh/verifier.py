@@ -442,16 +442,16 @@ def nonsplit_restriction_certificate(
     }
     title = "restriction of the extension to C and to a fiber"
     try:
-        res_c, res_f = (_leaf_restriction(ctx, datum, curve) for curve in (C, F))
+        res_c, res_f = _leaf_restriction(ctx, datum, C), _leaf_restriction(ctx, datum, F)
     except AmbiguousExtensionError as exc:
         return _certify(ctx, Row("restriction", title, None, details, "", (_undetermined(exc),)))
     details["E_restricted_to_C"] = format_splitting(res_c)
     details["E_restricted_to_fiber"] = format_splitting(res_f)
-    split = datum._replace(nonsplit=False)
-    kind_c, kind_f = (
-        "splits" if st == _leaf_restriction(ctx, split, curve) else "nonsplit"
-        for st, curve in ((res_c, C), (res_f, F))
-    )
+    kinds = []
+    for st, curve in ((res_c, C), (res_f, F)):
+        split = sorted((ctx.intersect(datum.sub, curve), ctx.intersect(datum.quot, curve)))
+        kinds.append("splits" if list(st.degrees()) == split else "nonsplit")
+    kind_c, kind_f = kinds
     headline = (
         f"E|_C = {format_splitting(res_c)} ({kind_c if datum.nonsplit else 'split (control)'}), "
         f"E|_fiber = {format_splitting(res_f)} ({kind_f}); "
@@ -753,7 +753,7 @@ def almost_nef_evidence(
         datum = build_extension(ctx)
     title = "nefness evidence by restriction"
     try:
-        c_type, fiber_type = (_leaf_restriction(ctx, datum, curve) for curve in (C, F))
+        c_type, fiber_type = _leaf_restriction(ctx, datum, C), _leaf_restriction(ctx, datum, F)
     except AmbiguousExtensionError as exc:
         return _certify(ctx, Row("almost_nef", title, None, {}, "", (_undetermined(exc),)))
     split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
