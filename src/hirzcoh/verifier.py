@@ -375,7 +375,7 @@ def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, Claim
     to choose.
     """
     datum = ExtensionDatum(sub=C, quot=ZERO, nonsplit=True)
-    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+    ext_dim = cohomology.h1(ctx, C)
     error = f"no nonsplit extension exists on F_{ctx.e}: Ext^1(O, O(C)) = H^1(O(C)) = 0"
     details = {
         "sub": format_class(datum.sub),
