@@ -4,7 +4,10 @@ The files under ``tests/golden/`` pin the ``verify`` stdout (without the
 timestamped ``#`` header) and the JSON report for every e in {1, 2, 3},
 characteristic in {0, 2, 3, 5, 7} and mode (symbolic, sweep to beta 10),
 plus the JSON of each falsifiability control record.  Any change to a
-headline, a detail key, its order or a witness shows up here.
+headline, a detail key, its order or a witness shows up here.  The
+``split_*.txt`` files pin the exit code, stdout and stderr of ``split``
+chains: both text forms on either side of rank 1000, each route of a
+symmetric power, ``ext(...)`` leaves, padded input and three refusals.
 
 After a deliberate output change, ``python tests/test_golden.py --write``
 rewrites every file under ``tests/golden/`` from the current code; review
@@ -15,7 +18,7 @@ import io
 import json
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,32 @@ CONTROLS = (
     "inflated_claim4_sweep10",
     "gated_sigma_sweep10",
 )
+
+
+SPLIT_CASES = {
+    "balanced_rank_1000": ("[-1,-1]", "sym:999"),
+    "balanced_rank_1001": ("[-1,-1]", "sym:1000"),
+    "balanced_sym_200": ("[-4,-4,-4,-4,-4]", "sym:200"),
+    "enumerated_rank_4": ("[0,1,1,5]", "sym:3", "twist:-2"),
+    "enumerated_after_frob": ("[2,-5,2,7]", "frob:3", "sym:2", "twist:4"),
+    "progression_sym_12": ("[0,1]", "sym:12", "twist:-6", "frob:3"),
+    "ext_nonsplit": ("ext(-1,1,nonsplit)", "sym:3"),
+    "ext_split": ("ext(0,3,split)", "frob:2", "sym:2"),
+    "padded_type": (" [ -3 ,\t1 ] ", "sym:4"),
+    "padded_ext": ("ext( 0, 2 , nonsplit )", "twist:1"),
+    "empty_type": ("[]", "sym:3"),
+    "refused_bad_degree": ("[1,]",),
+    "refused_ambiguous_ext": ("ext(0,4,nonsplit)",),
+    "refused_enumeration": ("[0,1,2,3,4,6]", "sym:100"),
+}
+
+
+def split_text(name):
+    """``hirzcoh split`` on the case's words: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["split", *SPLIT_CASES[name]])
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
 def verify_name(e, char, mode):
@@ -116,6 +145,11 @@ def test_control_matches_golden(name):
     assert json.loads(text)["status"] == "FAIL"
 
 
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_matches_golden(name):
+    assert split_text(name) == (GOLDEN / f"split_{name}.txt").read_text(encoding="utf-8")
+
+
 def write_goldens():
     """Rewrite every golden file from the current code."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,6 +160,8 @@ def write_goldens():
             (GOLDEN / f"{name}.json").write_bytes(raw)
     for name in CONTROLS:
         (GOLDEN / f"control_{name}.json").write_text(control_json(name), encoding="utf-8")
+    for name in SPLIT_CASES:
+        (GOLDEN / f"split_{name}.txt").write_text(split_text(name), encoding="utf-8")
 
 
 if __name__ == "__main__":

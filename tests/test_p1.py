@@ -1,6 +1,8 @@
 """Splitting-type calculus on P^1 and the affine degree forms."""
 
+import contextlib
 import random
+import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -10,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hirzcoh.hirzebruch import parse_int
 from hirzcoh.p1 import (
     AmbiguousExtensionError,
     DegreeForm,
     SplittingParseError,
     SplittingType,
+    _progression_power,
     _sym_rank,
     classify_extension,
     format_splitting,
@@ -281,6 +285,14 @@ def test_progression_route_matches_enumeration(a, gap, images, n_m):
     s_n = s.sym_power(n)
     assert s_n == _sym_oracle(s.degrees(), n) and _is_progression(s_n)
     assert s_n.sym_power(m) == _sym_oracle(s_n.degrees(), m)
+
+
+def test_progression_power_matches_enumeration_exhaustively():
+    # every n <= 6 and m <= 12, at two starts and steps
+    for n, m in product(range(1, 7), range(1, 13)):
+        for a, s in ((0, 1), (-3, 2)):
+            degrees = tuple(range(a, a + s * (n + 1), s))
+            assert _progression_power(a, s, n, m) == _sym_oracle(degrees, m), (a, s, n, m)
 
 
 def test_progression_route_refuses_nothing_enumeration_accepts():
@@ -650,7 +662,96 @@ def test_format_splitting_compact_for_huge_rank():
     assert format_splitting(big) == f"[-800 x {comb(204, 4)}]"
 
 
-@pytest.mark.parametrize("bad", ["", "[1,]", "[a]", "1,2", "[1 2]", "[[1]]"])
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Run with ``sys.set_int_max_str_digits(limit)``, as PYTHONINTMAXSTRDIGITS sets it."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# the interpreter's default digit limit, a lower one, and none
+DIGIT_LIMITS = (sys.int_info.default_max_str_digits, 640, 0)
+
+# a degree one digit past the 4300 every input integer keeps
+PAST_DIGITS = "[" + "9" * 4301 + "]"
+
+# each refusal's whole message: the per-token read names the first bad token
+PARSE_REFUSALS = {
+    "": "expected [d1,d2,...], got ''",
+    "[1,]": "bad degree '' in '[1,]'",
+    "[a]": "bad degree 'a' in '[a]'",
+    "1,2": "expected [d1,d2,...], got '1,2'",
+    "[1 2]": "bad degree '1 2' in '[1 2]'",
+    "[[1]]": "bad degree '[1]' in '[[1]]'",
+    "[1_0]": "bad degree '1_0' in '[1_0]'",
+    "[\u0661]": "bad degree '\u0661' in '[\u0661]'",
+    "[+-1]": "bad degree '+-1' in '[+-1]'",
+    PAST_DIGITS: f"bad degree {PAST_DIGITS[1:-1]!r} in {PAST_DIGITS!r}",
+}
+
+
+@pytest.mark.parametrize(
+    "bad", list(PARSE_REFUSALS), ids=lambda bad: "9 x 4301" if bad == PAST_DIGITS else None
+)
 def test_parse_splitting_rejects(bad):
-    with pytest.raises(SplittingParseError):
-        parse_splitting(bad)
+    for limit in DIGIT_LIMITS:
+        with int_digit_limit(limit), pytest.raises(SplittingParseError) as refused:
+            parse_splitting(bad)
+        assert str(refused.value) == PARSE_REFUSALS[bad], limit
+
+
+def _parse_by_tokens(text):
+    """Each token through ``parse_int`` in turn: the type, or the refusal's message."""
+    trimmed = text.strip()
+    if len(trimmed) < 2 or not (trimmed.startswith("[") and trimmed.endswith("]")):
+        return f"expected [d1,d2,...], got {text!r}"
+    body = trimmed[1:-1].strip()
+    if not body:
+        return SplittingType()
+    degrees = []
+    for token in body.split(","):
+        token = token.strip()
+        try:
+            degrees.append(parse_int(token))
+        except ValueError:
+            return f"bad degree {token!r} in {text!r}"
+    return SplittingType(degrees)
+
+
+# str.strip takes \x1c and \u2003 as whitespace and int() takes "1_0" and
+# "\u0661"; long tokens sit on either side of 640 and 4300 digits
+_PARSE_CHARS = "0123456789+-,[] \t\x1c\u2003_\u0661"
+_PAD = st.text(" \t\x1c\u2003", max_size=2)
+_LONG_TOKEN = st.builds(
+    lambda pad, sign, n: pad + sign + "9" * n + pad,
+    _PAD,
+    st.sampled_from(["", "-", "+", "+-"]),
+    st.sampled_from([639, 640, 641, 4299, 4300, 4301]),
+)
+_TOKEN = st.one_of(st.text(_PARSE_CHARS, max_size=4), _LONG_TOKEN, st.integers().map(str))
+splitting_texts = st.one_of(
+    st.text(_PARSE_CHARS, max_size=16),
+    st.builds(
+        lambda pad, tokens: f"{pad}[{','.join(tokens)}]{pad}", _PAD, st.lists(_TOKEN, max_size=5)
+    ),
+)
+
+
+@given(splitting_texts, st.sampled_from(DIGIT_LIMITS))
+@example("[\x1c1, -2\u2003]", 0)
+@example("[" + ",".join(["1"] * 2200) + "]", 0)
+@example("[-" + "9" * 4300 + "]", 0)
+@example("[ " + "9" * 4300 + "\t]", 0)
+@example("[0," + "0" * 4301 + "]", 0)
+def test_parse_splitting_reads_as_the_per_token_walk(text, limit):
+    with int_digit_limit(limit):
+        want = _parse_by_tokens(text)
+        try:
+            got = parse_splitting(text)
+        except SplittingParseError as exc:
+            got = str(exc)
+    assert got == want
