@@ -12,7 +12,13 @@ bundle gives one aggregated summand; an arithmetic progression
 a, a+s, ..., a+n*s of multiplicity-one degrees (every unbalanced rank-2
 bundle, and its twists, pullbacks and symmetric powers) gives the Gaussian
 binomial [m+n choose n] in q = t^s; anything else enumerates its monomials.
-All arithmetic is unbounded-integer exact.
+The route is chosen from the pairs alone, with no per-summand Python loop:
+a progression is the one tuple of pairs that its first two degrees
+predict.  All arithmetic is unbounded-integer exact.
+
+The text form ``[d1,d2,...]`` is read by mapping ``int`` over the stripped
+tokens and written from one repeated ``"d,"`` string per pair; ``parse_int``
+walks the tokens only to name a bad one.
 
 ``DegreeForm`` is the symbolic companion: an affine integer form
 ``c0 + cb*b + cl*l`` in two nonnegative parameters.  A bundle on P^1 has
@@ -24,12 +30,12 @@ parameter region at once.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb, e, log2
 from operator import itemgetter
 from typing import Iterable
 
-from .hirzebruch import Value, parse_int
+from .hirzebruch import _INT_DIGITS, Value, parse_int
 
 # Enumerating the m-th symmetric power sums m degrees for each monomial,
 # counting the weights in C with no Python frame per monomial; refuse past
@@ -172,7 +178,8 @@ class SplittingType(Value):
         in rank-many variables of weights d_i, so the rank of the result is
         comb(rank + m - 1, m).  Balanced input short-circuits to a single
         aggregated summand.  Multiplicity-one degrees a, a+s, ..., a+n*s
-        take the Gaussian binomial (``_progression_power``); anything else
+        take the Gaussian binomial (``_progression_power``), after the rank
+        check every unbalanced type passes first; anything else
         enumerates the monomials and counts their weights in C:
         ``map(sum, ...)`` over ``combinations_with_replacement`` resumes no
         Python frame per monomial, and the iterator reuses its one result
@@ -190,8 +197,9 @@ class SplittingType(Value):
             # one pair, and its multiplicity comb(r + m - 1, m) is >= 1
             return _from_sorted(((m * d, _sym_rank(r, m)),))
         n_monomials = _sym_rank(self.rank, m)
+        # a progression is the one tuple of pairs its first step predicts
         a, s = pairs[0][0], pairs[1][0] - pairs[0][0]
-        if all(p == (a + k * s, 1) for k, p in enumerate(pairs)):
+        if pairs == tuple(zip(range(a, a + s * len(pairs), s), repeat(1))):
             return _progression_power(a, s, len(pairs) - 1, m)
         if m * n_monomials > _SYM_ENUMERATION_LIMIT:
             raise ValueError(
@@ -229,7 +237,8 @@ def _progression_power(a: int, s: int, n: int, m: int) -> SplittingType:
     q^j in the Gaussian binomial [m+n choose n] (Stanley, EC1, section 1.7),
     for j = 0..n*m.  By its symmetry in n and m that is the product of
     (1 - q^(big+i)) / (1 - q^i) over i = 1..small, with small = min(n, m)
-    and big = max(n, m).  Each factor is one shift-subtract and one stride-i
+    and big = max(n, m).  The i = 1 factor is 1 + q + ... + q^big, written
+    down directly; each later one is one shift-subtract and one stride-i
     prefix sum on the coefficient list, truncated to its final degree
     big*i, so the whole costs at most small*(n*m + 1) additions.  That and
     the n*m + 1 output pairs are bounded before any work; both stay below
@@ -243,8 +252,9 @@ def _progression_power(a: int, s: int, n: int, m: int) -> SplittingType:
             f"at {small} additions each; refusing more than {_SYM_PROGRESSION_PAIRS} "
             f"degrees or {_SYM_ENUMERATION_LIMIT} additions"
         )
-    coeffs = [1]
-    for i in range(1, small + 1):
+    # a rank-2 progression (small = 1) multiplies in nothing more
+    coeffs = [1] * (big + 1)
+    for i in range(2, small + 1):
         shift = big + i
         # times (1 - q^shift), truncated to the quotient's degree big*i
         head = coeffs + [0] * big
@@ -376,7 +386,13 @@ _FORMAT_EXPAND_LIMIT = 1000
 def parse_splitting(text: str) -> SplittingType:
     """Parse ``[d1,d2,...]`` (possibly ``[]``) into a splitting type.
 
-    Whitespace is tolerated around tokens but not inside a number.
+    Whitespace is tolerated around tokens but not inside a number.  Every
+    degree reads as ``parse_int`` reads it, in one pass: ``int`` of each
+    stripped token, once the body has no "_", no token has a non-ASCII
+    character, and none has more than ``_INT_DIGITS`` digits.  On those
+    tokens ``int`` takes exactly what ``parse_int`` takes, so a token either
+    refuses is bad, and only then does a walk through ``parse_int`` name the
+    first bad one.
     """
     trimmed = text.strip()
     if len(trimmed) < 2 or not (trimmed.startswith("[") and trimmed.endswith("]")):
@@ -384,25 +400,32 @@ def parse_splitting(text: str) -> SplittingType:
     body = trimmed[1:-1].strip()
     if not body:
         return SplittingType()
-    degrees = []
-    for token in body.split(","):
-        token = token.strip()
+    tokens = list(map(str.strip, body.split(",")))
+    if (
+        "_" not in body
+        and (body.isascii() or all(map(str.isascii, tokens)))
+        and (
+            len(body) <= _INT_DIGITS
+            or max(map(len, map(str.lstrip, tokens, repeat("+-")))) <= _INT_DIGITS
+        )
+    ):
         try:
-            degrees.append(parse_int(token))
+            return SplittingType(map(int, tokens))
+        except ValueError:
+            pass
+    for token in tokens:
+        try:
+            parse_int(token)
         except ValueError:
             raise SplittingParseError(f"bad degree {token!r} in {text!r}") from None
-    return SplittingType(degrees)
+    raise AssertionError(f"int() refused a degree parse_int reads in {text!r}")
 
 
 def format_splitting(s: SplittingType) -> str:
     """Canonical text form; round-trips through parse_splitting when expanded.
 
-    The expanded form writes each degree once per summand, from one ``str``
-    per pair.
+    The expanded form repeats one ``"d,"`` string per pair.
     """
     if s.rank <= _FORMAT_EXPAND_LIMIT:
-        texts: list[str] = []
-        for d, r in s.pairs:
-            texts += [str(d)] * r
-        return "[" + ",".join(texts) + "]"
-    return "[" + ", ".join(f"{d} x {r}" for d, r in s.pairs) + "]"
+        return "[" + "".join([f"{d}," * r for d, r in s.pairs])[:-1] + "]"
+    return "[" + ", ".join([f"{d} x {r}" for d, r in s.pairs]) + "]"
