@@ -247,6 +247,16 @@ def _premise(name: str, holds: bool, **facts) -> Premise:
     return (f"premise failed: {name}; no h^0 computed", holds, {"error": f"{name} failed", **facts})
 
 
+def _class_premise(ctx: SurfaceContext, datum: ExtensionDatum) -> Premise:
+    """A nonsplit datum holds a nonzero class: h^1(O(sub - quot)) >= 1."""
+    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
+    return _premise(
+        "nonsplit class exists: h^1(O(sub - quot)) >= 1",
+        not datum.nonsplit or ext_dim >= 1,
+        ext_dim=ext_dim,
+    )
+
+
 def _undetermined(exc: AmbiguousExtensionError) -> Premise:
     """The premise that a restriction type is determined, failed at ``exc``."""
     return (f"restriction type undetermined: {exc}", False, {"error": str(exc)})
@@ -308,15 +318,9 @@ def _certify(
         _check_mode(mode, beta_max)
         if tower.datum is None:
             tower = tower._replace(datum=build_extension(ctx))
-        datum = tower.datum
-        ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
         premises = [
             _premise("polarization H ample on F_e", ctx.is_ample(H)),
-            _premise(
-                "nonsplit class exists: h^1(O(sub - quot)) >= 1",
-                not datum.nonsplit or ext_dim >= 1,
-                ext_dim=ext_dim,
-            ),
+            _class_premise(ctx, tower.datum),
             *premises,
         ]
         if "polarization_identity" in details:
@@ -747,15 +751,19 @@ def almost_nef_evidence(
     vanishes, so the restricted sequence splits), which is nef; the
     restriction to C is O(-1)^2, which is not.  That exhibits C as the
     candidate exceptional locus.  This is evidence for almost nefness, not
-    a proof: no other curves are controlled here.
+    a proof: no other curves are controlled here.  A nonsplit datum must
+    hold a class first, as in every vanishing row (``ext_dim`` in the FAIL
+    witness), and only a PASS names C as the exceptional curve.
     """
     if datum is None:
         datum = build_extension(ctx)
     title = "nefness evidence by restriction"
+    has_class = _class_premise(ctx, datum)
     try:
         c_type, fiber_type = _leaf_restriction(ctx, datum, C), _leaf_restriction(ctx, datum, F)
     except AmbiguousExtensionError as exc:
-        return _certify(ctx, Row("almost_nef", title, None, {}, "", (_undetermined(exc),)))
+        premises = (has_class, _undetermined(exc))
+        return _certify(ctx, Row("almost_nef", title, None, {}, "", premises))
     split_on_c = _leaf_restriction(ctx, datum._replace(nonsplit=False), C)
     rows = [
         {"curve": curve, "type": format_splitting(st), "nef": st.is_nef()}
@@ -765,10 +773,10 @@ def almost_nef_evidence(
             ("C (split control)", split_on_c),
         )
     ]
-    headline = ", ".join(
+    types = ", ".join(
         f"E|_{row['curve']} = {row['type']} {'nef' if row['nef'] else 'not nef'}"
         for row in rows[:2]
-    ) + "; C is the exceptional curve (evidence, not proof)"
+    )
     details = {
         "restrictions": rows,
         "label": "evidence, not proof",
@@ -779,8 +787,11 @@ def almost_nef_evidence(
             "stability of almost nefness under extension is not reproved"
         ),
     }
-    nef_outside_c = (headline, fiber_type.is_nef() and not c_type.is_nef(), {"restrictions": rows})
-    return _certify(ctx, Row("almost_nef", title, None, details, headline, (nef_outside_c,)))
+    nef_outside_c = (types, fiber_type.is_nef() and not c_type.is_nef(), {"restrictions": rows})
+    conclusion = f"{types}; C is the exceptional curve (evidence, not proof)"
+    return _certify(
+        ctx, Row("almost_nef", title, None, details, conclusion, (has_class, nef_outside_c))
+    )
 
 
 # --------------------------------------------------------------------------

@@ -880,16 +880,56 @@ def test_almost_nef_evidence():
     assert rec.details["label"] == "evidence, not proof"
 
 
+def _almost_nef_dict(headline, types, witness):
+    """The whole almost_nef record whose fiber, C and split-control types are ``types``."""
+    rows = [
+        {"curve": curve, "type": text, "nef": not text.startswith("[-")}
+        for curve, text in zip(("fiber", "C", "C (split control)"), types)
+    ]
+    return {
+        "id": "almost_nef",
+        "title": "nefness evidence by restriction",
+        "mode": "exact",
+        "status": "FAIL",
+        "headline": headline,
+        "degree_form": None,
+        "details": {
+            "restrictions": rows,
+            "label": "evidence, not proof",
+            "exceptional_locus": "C",
+            "caveat": (
+                "almost nefness asks for nefness outside a countable family of "
+                "subvarieties; only fibers and C are checked here, and stability "
+                "of almost nefness under extension is not reproved"
+            ),
+        },
+        "witness": {"restrictions": rows} if witness is None else witness,
+    }
+
+
 def test_almost_nef_headline_reads_its_rows():
     assert almost_nef_evidence(CTX2).headline == (
         "E|_fiber = [0,1] nef, E|_C = [-1,-1] not nef; C is the exceptional "
         "curve (evidence, not proof)"
     )
-    # O(-C) + O is not nef on a fiber and is nef on C: the FAIL says so
+    # O(-C) + O is not nef on a fiber and is nef on C: the FAIL says so, and
+    # names no exceptional curve
     rec = almost_nef_evidence(CTX2, v.ExtensionDatum(-C, DivisorClass(0, 0), False))
-    assert not rec.passed
-    assert [row["nef"] for row in rec.details["restrictions"][:2]] == [False, True]
-    assert rec.headline.startswith("E|_fiber = [-1,0] not nef, E|_C = [0,2] nef; ")
+    assert rec.to_json_dict() == _almost_nef_dict(
+        "E|_fiber = [-1,0] not nef, E|_C = [0,2] nef", ("[-1,0]", "[0,2]", "[0,2]"), None
+    )
+
+
+def test_almost_nef_needs_a_nonsplit_class():
+    # h^1(O(-C)) = 0 on F_2: no nonsplit extension of O(C) by O exists, so
+    # the record FAILs at the premise every vanishing row has, not at its types
+    rec = almost_nef_evidence(CTX2, v.ExtensionDatum(DivisorClass(0, 0), C, True))
+    name = "nonsplit class exists: h^1(O(sub - quot)) >= 1"
+    assert rec.to_json_dict() == _almost_nef_dict(
+        f"premise failed: {name}; no h^0 computed",
+        ("[0,1]", "[-2,0]", "[-2,0]"),
+        {"error": f"{name} failed", "ext_dim": 0},
+    )
 
 
 def test_almost_nef_evidence_at_gap_minus_3():
