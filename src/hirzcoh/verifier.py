@@ -93,13 +93,18 @@ class ExtensionDatum(NamedTuple):
 
     ``nonsplit`` records whether a nonzero class of Ext^1(O(quot), O(sub))
     = H^1(O(sub - quot)) was taken.  The group's dimension is read from the
-    surface where it is needed, never stored; the restriction certificate
-    and every h^0 = 0 certificate FAIL a nonsplit datum whose group is 0.
+    surface where it is needed, never stored; every record that takes a
+    datum FAILs a nonsplit datum whose group is 0.
     """
 
     sub: DivisorClass
     quot: DivisorClass
     nonsplit: bool
+
+
+#: The replay datum 0 -> O(C) -> E -> O -> 0.  Its class exists exactly
+#: when h^1(O(C)) = e - 1 >= 1, which every record that takes it checks.
+_REPLAY = ExtensionDatum(C, ZERO, True)
 
 
 class Tower(NamedTuple):
@@ -277,13 +282,13 @@ class Row(NamedTuple):
     An exact row (``tower`` None) passes with ``conclusion`` as its headline
     when all its ``premises`` hold.  A vanishing row certifies
     h^0(C, tower|_C) = 0 and its PASS headline is "<mode evidence>;
-    <conclusion>"; a tower whose datum is None gets ``build_extension(ctx)``.
-    ``details`` is the record's details dict, which the evaluator extends; a
-    row that rests on a twist identity n*H = n*C + m*F places
-    ``_polarization_identity(n, m)`` in it.  ``base_row`` adds the base-row
-    identity h^0(O(m*b*F)) = m*b + 1, with m read from the tower's twist
-    m*b*F.  Each (n, m) is written once: ``_PEEL`` for claim3 and charp, and
-    in remark_t's row.
+    <conclusion>"; its tower's datum is always given, by default the
+    replay datum ``_REPLAY``.  ``details`` is the record's details dict,
+    which the evaluator extends; a row that rests on a twist identity
+    n*H = n*C + m*F places ``_polarization_identity(n, m)`` in it.
+    ``base_row`` adds the base-row identity h^0(O(m*b*F)) = m*b + 1, with
+    m read from the tower's twist m*b*F.  Each (n, m) is written once:
+    ``_PEEL`` for claim3 and charp, and in remark_t's row.
     """
 
     claim_id: str
@@ -303,21 +308,20 @@ def _certify(
     The first premise that fails gives the headline and the FAIL witness,
     and nothing after it is computed.  Otherwise an exact row passes with
     its conclusion; its ``mode`` is "exact", or for sigma the mode of its
-    premise records.  A vanishing row first checks the mode and ``beta_max``
-    and fills in a missing datum; its premises are, in this order: the
-    ampleness of H, a nonzero extension class for a nonsplit datum
-    (h^1(O(sub - quot)) >= 1, with ``ext_dim`` in its FAIL witness), the
-    row's own, its polarization identity, then the base-row identity at the
-    tower's F-twist m when the row sets ``base_row`` (its evidence goes to
-    ``details["base_row"]`` whatever the outcome).  When they hold, the top
-    degree form of the restriction decides (symbolic mode) or the grid sweep
-    over 0 <= l <= n*b, n from ``_PEEL``, does (sweep mode).
+    premise records.  A vanishing row first checks the mode and ``beta_max``;
+    its premises are, in this order: the ampleness of H, a nonzero extension
+    class for a nonsplit datum (h^1(O(sub - quot)) >= 1, with ``ext_dim`` in
+    its FAIL witness), the row's own, its polarization identity, then the
+    base-row identity at the tower's F-twist m when the row sets
+    ``base_row`` (its evidence goes to ``details["base_row"]`` whatever the
+    outcome).  When they hold and the datum's type on C is determined, the
+    top degree form of the restriction decides (symbolic mode) or the grid
+    sweep over 0 <= l <= n*b, n from ``_PEEL``, does (sweep mode); an
+    undetermined type FAILs as ``_undetermined`` says, with no h^0 computed.
     """
     tower, premises, details = row.tower, row.premises, row.details
     if tower is not None:
         _check_mode(mode, beta_max)
-        if tower.datum is None:
-            tower = tower._replace(datum=build_extension(ctx))
         premises = [
             _premise("polarization H ample on F_e", ctx.is_ample(H)),
             _class_premise(ctx, tower.datum),
@@ -334,7 +338,10 @@ def _certify(
             return ClaimRecord(row.claim_id, row.title, mode, headline, None, details, witness)
     if tower is None:
         return ClaimRecord(row.claim_id, row.title, mode, row.conclusion, None, details)
-    form, rank = _restrict_symbolic(ctx, tower)
+    try:
+        form, rank = _restrict_symbolic(ctx, tower)
+    except AmbiguousExtensionError as exc:
+        return _certify(ctx, row._replace(tower=None, premises=(_undetermined(exc),)), mode)
     details.update(rank=rank, region="b >= 1, l >= 0")
 
     if mode == "symbolic":
@@ -372,13 +379,13 @@ def _certify(
 
 
 def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
-    """The extension setup record, and the datum when one exists.
+    """The extension setup record, and the replay datum when its class exists.
 
     The group Ext^1(O, O(C)) = H^1(O(C)) has dimension e - 1 (pushforward
     degrees {0, -e}), so e >= 2 is exactly the range with a nonzero class
     to choose.
     """
-    datum = ExtensionDatum(sub=C, quot=ZERO, nonsplit=True)
+    datum = _REPLAY
     ext_dim = cohomology.h1(ctx, C)
     error = f"no nonsplit extension exists on F_{ctx.e}: Ext^1(O, O(C)) = H^1(O(C)) = 0"
     details = {
@@ -400,24 +407,12 @@ def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, Claim
     return (datum if record.passed else None), record
 
 
-def build_extension(ctx: SurfaceContext) -> ExtensionDatum:
-    """The nonsplit extension of O by O(C), when one exists.
-
-    It is read from the extension record; without a nonzero class this
-    raises ValueError with the record's headline.
-    """
-    datum, record = _extension_record(ctx)
-    if datum is None:
-        raise ValueError(record.headline)
-    return datum
-
-
 def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
     """The split direct sum O(C) + O: the negative control.
 
     It is the same on every surface; ``ctx`` stays for its callers.
     """
-    return ExtensionDatum(sub=C, quot=ZERO, nonsplit=False)
+    return _REPLAY._replace(nonsplit=False)
 
 
 def nonsplit_restriction_certificate(
@@ -461,8 +456,9 @@ def nonsplit_restriction_certificate(
         f"E|_fiber = {format_splitting(res_f)} ({kind_f}); "
         f"premises h^1(O_X) = {h1_structure}, h^1(O_C(C)) = {target_h1}"
     )
-    ext_dim = cohomology.h1(ctx, datum.sub - datum.quot)
-    ok = h1_structure == 0 and (not datum.nonsplit or min(ext_dim, target_h1) >= 1)
+    _, has_class, facts = _class_premise(ctx, datum)
+    ok = h1_structure == 0 and has_class and (not datum.nonsplit or target_h1 >= 1)
+    ext_dim = facts["ext_dim"]
     witness = {"h1_structure_sheaf": h1_structure, "h1_O_C_of_C": target_h1, "ext_dim": ext_dim}
     stays_nonsplit = (headline, ok, witness)  # a FAIL keeps the headline with both types
     return _certify(ctx, Row("restriction", title, None, details, headline, (stays_nonsplit,)))
@@ -545,7 +541,7 @@ def _base_row_identity(
 
 def peeling_vanishing_certificate(
     ctx: SurfaceContext,
-    datum: ExtensionDatum | None = None,
+    datum: ExtensionDatum = _REPLAY,
     mode: str = "symbolic",
     beta_max: int | None = None,
 ) -> ClaimRecord:
@@ -574,7 +570,7 @@ def peeling_vanishing_certificate(
 
 def base_row_certificate(
     ctx: SurfaceContext,
-    datum: ExtensionDatum | None = None,
+    datum: ExtensionDatum = _REPLAY,
     mode: str = "symbolic",
     beta_max: int | None = None,
     fiber_multiple: int = _PEEL[1],
@@ -660,7 +656,7 @@ def quotient_zero_conclusion(
 def frobenius_certificate(
     ctx: SurfaceContext,
     p: int,
-    datum: ExtensionDatum | None = None,
+    datum: ExtensionDatum = _REPLAY,
     mode: str = "symbolic",
     beta_max: int | None = None,
 ) -> ClaimRecord:
@@ -715,7 +711,7 @@ def frobenius_certificate(
 
 def direct_not_psef_certificate(
     ctx: SurfaceContext,
-    datum: ExtensionDatum | None = None,
+    datum: ExtensionDatum = _REPLAY,
     mode: str = "symbolic",
     beta_max: int | None = None,
 ) -> ClaimRecord:
@@ -743,7 +739,7 @@ def direct_not_psef_certificate(
 
 
 def almost_nef_evidence(
-    ctx: SurfaceContext, datum: ExtensionDatum | None = None
+    ctx: SurfaceContext, datum: ExtensionDatum = _REPLAY
 ) -> ClaimRecord:
     """Claim id "almost_nef": nef along the ruling, not nef exactly on C.
 
@@ -755,8 +751,6 @@ def almost_nef_evidence(
     hold a class first, as in every vanishing row (``ext_dim`` in the FAIL
     witness), and only a PASS names C as the exceptional curve.
     """
-    if datum is None:
-        datum = build_extension(ctx)
     title = "nefness evidence by restriction"
     has_class = _class_premise(ctx, datum)
     try:

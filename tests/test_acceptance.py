@@ -14,8 +14,8 @@ from hirzcoh import cohomology as coh
 from hirzcoh.hirzebruch import C, DivisorClass, SurfaceContext
 from hirzcoh.p1 import DegreeForm, SplittingType
 from hirzcoh.verifier import (
+    _extension_record,
     base_row_certificate,
-    build_extension,
     direct_not_psef_certificate,
     frobenius_certificate,
     nonsplit_restriction_certificate,
@@ -47,7 +47,7 @@ def test_criterion_1_ext_dimension():
 
 
 def test_criterion_2_restriction_types():
-    datum = build_extension(CTX)
+    datum = _extension_record(CTX)[0]
     rec = nonsplit_restriction_certificate(CTX, datum)  # warm-up
     t0 = time.perf_counter()
     rec = nonsplit_restriction_certificate(CTX, datum)

@@ -1,5 +1,6 @@
 """Certificates and the full replay, including the falsifiability controls."""
 
+import inspect
 import random
 from itertools import combinations_with_replacement
 from math import comb
@@ -18,7 +19,6 @@ from hirzcoh.verifier import (
     Tower,
     almost_nef_evidence,
     base_row_certificate,
-    build_extension,
     direct_not_psef_certificate,
     frobenius_certificate,
     nonsplit_restriction_certificate,
@@ -39,16 +39,24 @@ def _record(rep, claim_id):
 # -- extension datum ---------------------------------------------------------
 
 
-def test_build_extension():
-    datum = build_extension(CTX2)
+def test_replay_datum_is_one_constant():
     assert v.ExtensionDatum._fields == ("sub", "quot", "nonsplit")
-    assert datum == v.ExtensionDatum(C, DivisorClass(0, 0), True)
-    assert build_extension(SurfaceContext(3)) == datum  # the class is the same on every F_e
-    assert v._extension_record(CTX2)[1].details["ext_dim"] == 1  # read from the surface
-    with pytest.raises(ValueError, match="no nonsplit extension"):
-        build_extension(SurfaceContext(1))
-    with pytest.raises(ValueError, match="no nonsplit extension"):
-        build_extension(SurfaceContext(0))
+    assert v._REPLAY == v.ExtensionDatum(C, DivisorClass(0, 0), True)
+    # the extension record hands the replay that constant wherever its class
+    # exists, and none where it does not
+    for e in (2, 3):
+        datum, record = v._extension_record(SurfaceContext(e))
+        assert datum is v._REPLAY and record.passed
+        assert record.details["ext_dim"] == e - 1  # read from the surface
+    for e in (0, 1):
+        datum, record = v._extension_record(SurfaceContext(e))
+        assert datum is None and not record.passed
+        assert record.headline.startswith(f"no nonsplit extension exists on F_{e}: ")
+    # every certificate that takes a datum defaults to it
+    for certificate in [c for c, _ in _CERTIFICATES.values()] + [almost_nef_evidence]:
+        default = inspect.signature(certificate).parameters["datum"].default
+        assert default is v._REPLAY, certificate.__name__
+    assert split_control_datum(CTX2) == v._REPLAY._replace(nonsplit=False)
 
 
 def test_restriction_certificate_reads_ext_dim():
@@ -77,7 +85,7 @@ def test_restriction_certificate_reads_ext_dim():
         },
         "witness": {"h1_structure_sheaf": 0, "h1_O_C_of_C": 1, "ext_dim": 0},
     }
-    datum = build_extension(CTX2)
+    datum = v._REPLAY
     assert datum._replace(nonsplit=False) == split_control_datum(CTX2)
     for passing in (datum, split_control_datum(CTX2)):
         rec = nonsplit_restriction_certificate(CTX2, passing)
@@ -118,7 +126,7 @@ def test_vanishing_certificates_refuse_a_datum_without_a_class(monkeypatch, mode
             assert rec.headline == f"premise failed: {name}; no h^0 computed"
             assert rec.degree_form is None and "evaluations" not in rec.details
     # the same pair split needs no class, and the replay's datum has one
-    for datum in (empty._replace(nonsplit=False), build_extension(CTX2)):
+    for datum in (empty._replace(nonsplit=False), v._REPLAY):
         for rec in _vanishing_records(datum, mode, beta_max):
             assert rec.witness is None or "ext_dim" not in rec.witness, rec.claim_id
     # it comes right after ampleness: first when H is ample but breaks the
@@ -129,6 +137,52 @@ def test_vanishing_certificates_refuse_a_datum_without_a_class(monkeypatch, mode
     monkeypatch.setattr(v, "H", C + 2 * F)
     for rec in _vanishing_records(empty, mode, beta_max):
         assert rec.witness == {"error": "polarization H ample on F_e failed"}, rec.claim_id
+
+
+@pytest.mark.parametrize("mode,beta_max", (("symbolic", None), ("sweep", 3)))
+def test_vanishing_certificates_fail_an_undetermined_type(mode, beta_max):
+    # h^1(O(2C)) = 4 on F_2, so the class exists, but the gap 2C.C = -4 on C
+    # leaves two nonsplit types: every vanishing row FAILs, none raises
+    error = (
+        "ambiguous splitting type: a nonsplit extension of O(0) by O(-4) is "
+        "not determined by nonsplitness alone (degree gap -4)"
+    )
+    steep = v.ExtensionDatum(2 * C, DivisorClass(0, 0), True)
+    assert coh.h1(CTX2, 2 * C) == 4
+    records = _vanishing_records(steep, mode, beta_max)
+    for rec in records:
+        assert not rec.passed and rec.mode == mode, rec.claim_id
+        assert rec.headline == f"restriction type undetermined: {error}", rec.claim_id
+        assert rec.witness == {"error": error}, rec.claim_id
+        assert rec.degree_form is None and "evaluations" not in rec.details, rec.claim_id
+        assert "rank" not in rec.details, rec.claim_id
+    base_row = {
+        "identity": "h0(O(3b F)) = 3b + 1 = h0 on P^1",
+        "reason": (
+            "C is a section of the ruling, so sections pulled back from the base "
+            "restrict bijectively to C"
+        ),
+    }
+    if beta_max is None:
+        base_row.update(fiber_degree="3b >= 0 on the region", holds=True)
+    else:
+        base_row.update(checked_betas=[1, 2, 3], holds=True)
+    assert records[-1].to_json_dict() == {
+        "id": "remark_t",
+        "title": "E itself is not pseudo-effective",
+        "mode": mode,
+        "status": "FAIL",
+        "headline": f"restriction type undetermined: {error}",
+        "degree_form": None,
+        "details": {
+            "bundle": "S^{4b}(E)(lC + 3bF) restricted to C",
+            "surjection": "S^{4b}(E)(bH) ->> O(bH), induced by E ->> O",
+            "polarization_identity": "H = C + 3F",
+            "polarization_identity_holds": True,
+            "base_row": base_row,
+        },
+        "witness": {"error": error},
+    }
 
 
 def test_restriction_labels_follow_the_types():
@@ -144,14 +198,14 @@ def test_restriction_labels_follow_the_types():
     rec = nonsplit_restriction_certificate(CTX2, v.ExtensionDatum(DivisorClass(0, 0), C, True))
     assert rec.headline.startswith("E|_C = [-2,0] (splits), E|_fiber = [0,1] (splits); ")
     # the replay datum and the split control keep their labels
-    rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
+    rec = nonsplit_restriction_certificate(CTX2, v._REPLAY)
     assert rec.headline.startswith("E|_C = [-1,-1] (nonsplit), E|_fiber = [0,1] (splits); ")
     rec = nonsplit_restriction_certificate(CTX2, split_control_datum(CTX2))
     assert rec.headline.startswith("E|_C = [-2,0] (split (control)), E|_fiber = [0,1] (splits); ")
 
 
 def test_restriction_certificate():
-    rec = nonsplit_restriction_certificate(CTX2, build_extension(CTX2))
+    rec = nonsplit_restriction_certificate(CTX2, v._REPLAY)
     assert rec.passed
     assert rec.details["h1_structure_sheaf"] == 0
     assert rec.details["h1_O_C_of_C"] == 1
@@ -167,7 +221,7 @@ def test_restriction_certificate_split_control():
 def test_restriction_certificate_determined_at_gap_minus_3():
     # on F_3 the degree gap on C is -3: the only nonsplit type is [-2,-1]
     ctx = SurfaceContext(3)
-    rec = nonsplit_restriction_certificate(ctx, build_extension(ctx))
+    rec = nonsplit_restriction_certificate(ctx, v._REPLAY)
     assert rec.passed
     assert rec.details["h1_O_C_of_C"] == 2
     assert rec.details["E_restricted_to_C"] == "[-2,-1]"
@@ -176,7 +230,7 @@ def test_restriction_certificate_determined_at_gap_minus_3():
 
 def test_restriction_certificate_ambiguous_for_steeper_twist():
     ctx = SurfaceContext(4)
-    rec = nonsplit_restriction_certificate(ctx, build_extension(ctx))
+    rec = nonsplit_restriction_certificate(ctx, v._REPLAY)
     assert not rec.passed
     error = (
         "ambiguous splitting type: a nonsplit extension of O(0) by O(-4) is not "
@@ -207,14 +261,14 @@ def _claim3_tower(datum):
 
 
 def test_restrict_numeric_claim3_degrees():
-    datum = build_extension(CTX2)
+    datum = v._REPLAY
     for beta, ell in [(1, 0), (1, 3), (2, 0), (3, 7)]:
         st, slope = v._restrict_numeric(CTX2, _claim3_tower(datum), beta)
         assert st.twist(slope * ell).pairs == ((-beta - 2 * ell, comb(4 * beta + 4, 4)),)
 
 
 def test_restrict_numeric_frobenius_degrees():
-    datum = build_extension(CTX2)
+    datum = v._REPLAY
     tower = Tower(datum, frob=4, a=ELL, b=BETA.scale(15))
     for beta, ell in [(1, 0), (2, 5)]:
         st, slope = v._restrict_numeric(CTX2, tower, beta)
@@ -222,8 +276,7 @@ def test_restrict_numeric_frobenius_degrees():
 
 
 def _spec(certificate, *args, **kwargs):
-    """The Row a certificate hands to ``_certify``, with the
-    default datum filled in as ``_certify`` fills it."""
+    """The Row a certificate hands to ``_certify``."""
     seen = []
     real = v._certify
     v._certify = lambda ctx, spec, mode, beta_max: seen.append(spec)
@@ -231,10 +284,7 @@ def _spec(certificate, *args, **kwargs):
         certificate(CTX2, *args, **kwargs)
     finally:
         v._certify = real
-    spec = seen[0]
-    if spec.tower.datum is None:
-        spec = spec._replace(tower=spec.tower._replace(datum=build_extension(CTX2)))
-    return spec
+    return seen[0]
 
 
 def _grid(beta_max):
@@ -269,7 +319,7 @@ def _tower(name):
     """(tower, rank at b) of a ``_TOWERS`` certificate or an unbuilt tower."""
     if name in _UNBUILT_TOWERS:
         fields, rank = _UNBUILT_TOWERS[name]
-        return Tower(build_extension(CTX2), **fields), rank
+        return Tower(v._REPLAY, **fields), rank
     certificate, args, kwargs, rank = _TOWERS[name]
     return _spec(certificate, *args, **kwargs).tower, rank
 
@@ -359,12 +409,12 @@ def test_sweep_builds_each_twist_form_once(name, monkeypatch):
 
 
 def test_restrict_fiber():
-    datum = build_extension(CTX2)
+    datum = v._REPLAY
     assert v._leaf_restriction(CTX2, datum, F) == SplittingType((0, 1))
 
 
 def test_restrict_symbolic_forms():
-    datum = build_extension(CTX2)
+    datum = v._REPLAY
     assert v._restrict_symbolic(CTX2, _claim3_tower(datum)) == (
         DegreeForm(0, -1, -2),
         "C(4b + 4, 4)",
@@ -994,6 +1044,11 @@ def test_full_replay_char0_symbolic():
     assert all(r.passed for r in rep.records)
 
 
+def test_full_replay_defaults_to_characteristic_0_symbolic():
+    default = run_full_replay(CTX2).to_json_dict()
+    assert default == run_full_replay(CTX2, 0, "symbolic").to_json_dict()
+
+
 def test_full_replay_char_p():
     rep = run_full_replay(CTX2, 7, "symbolic")
     assert rep.overall == "PASS"
@@ -1055,7 +1110,7 @@ def test_no_conclusion_without_ample_polarization(e):
             if rep.conclusion == "not pseudo-effective":
                 assert ctx.is_ample(H), (characteristic, mode)
     if e >= 2:  # an extension exists; each certificate checks the premise first
-        datum = build_extension(ctx)
+        datum = v._REPLAY
         records = [
             peeling_vanishing_certificate(ctx, datum),
             base_row_certificate(ctx, datum),
@@ -1176,14 +1231,18 @@ def test_certificate_refuses_bad_arguments(name):
         ("symbolic", 3, "beta_max is only meaningful"),
         ("sweep", 1001, "beta_max <= 1000, got 1001"),
     ]
-    # F_1 has no nonsplit extension: the arguments are refused before the
-    # default datum is built
+    # F_1 has no nonsplit extension: the arguments are refused before any
+    # premise is read
     for ctx in (CTX2, SurfaceContext(1)):
         for mode, beta_max, message in refusals:
             with pytest.raises(ValueError, match=message):
                 certificate(ctx, *args, mode=mode, beta_max=beta_max)
-    with pytest.raises(ValueError, match="no nonsplit extension"):
-        certificate(SurfaceContext(1), *args)
+    # on F_0 and F_1 the default datum holds no class: a FAIL, not a refusal
+    name = "nonsplit class exists: h^1(O(sub - quot)) >= 1"
+    for e in (0, 1):
+        for rec in (certificate(SurfaceContext(e), *args), almost_nef_evidence(SurfaceContext(e))):
+            assert rec.witness == {"error": f"{name} failed", "ext_dim": 0}, (e, rec.claim_id)
+            assert rec.headline == f"premise failed: {name}; no h^0 computed"
 
 
 def test_charp_refuses_a_composite_before_the_mode():
