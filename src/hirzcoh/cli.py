@@ -139,26 +139,6 @@ def _cmd_cone(klass: str, *, e: int) -> tuple[int, list[str]]:
     ]
 
 
-def _parse_split_input(text: str) -> SplittingType:
-    from .p1 import SplittingParseError, classify_extension, parse_splitting
-
-    compact = "".join(text.split())
-    if compact.startswith("ext(") and compact.endswith(")"):
-        body = compact[4:-1].split(",")
-        if len(body) != 3 or body[2] not in ("split", "nonsplit"):
-            raise SplittingParseError(
-                f"expected ext(sub,quot,split|nonsplit), got {text!r}"
-            )
-        try:
-            sub, quot = parse_int(body[0]), parse_int(body[1])
-        except ValueError:
-            raise SplittingParseError(
-                f"expected integer degrees in ext(...), got {text!r}"
-            ) from None
-        return classify_extension(sub, quot, body[2] == "nonsplit")
-    return parse_splitting(text)
-
-
 #: Each operation of ``split``: its ``SplittingType`` method and the letter
 #: its help gives the value.
 _OPS = {"sym": ("sym_power", "m"), "twist": ("twist", "d"), "frob": ("frobenius_pullback", "q")}
@@ -184,9 +164,9 @@ def _apply_op(st: SplittingType, token: str) -> SplittingType:
 
 
 def _cmd_split(bundle: str, *ops: str) -> tuple[int, list[str]]:
-    from .p1 import format_splitting
+    from .p1 import format_splitting, parse_splitting
 
-    st = _parse_split_input(bundle)
+    st = parse_splitting(bundle)
     for token in ops:
         st = _apply_op(st, token)
     return 0, [

@@ -16,8 +16,12 @@ The route is chosen from the pairs alone, with no per-summand Python loop:
 a progression is the one tuple of pairs that its first two degrees
 predict.  All arithmetic is unbounded-integer exact.
 
-The text form ``[d1,d2,...]`` is read by mapping ``int`` over the stripped
-tokens and written from one repeated ``"d,"`` string per pair; ``parse_int``
+A splitting type is read from one of two text forms, ``[d1,d2,...]`` or a
+rank-2 extension ``ext(sub,quot,split|nonsplit)``, whose type
+``classify_extension`` decides.  Both bodies are split on commas and each
+entry stripped, so whitespace is allowed around an entry but not inside
+one.  The bracket form is read by mapping ``int`` over the stripped tokens
+and written from one repeated ``"d,"`` string per pair; ``parse_int``
 walks the tokens only to name a bad one.
 
 ``DegreeForm`` is the symbolic companion: an affine integer form
@@ -60,7 +64,12 @@ class AmbiguousExtensionError(ValueError):
 
 
 class SplittingParseError(ValueError):
-    """A splitting-type string does not match the ``[d1,d2,...]`` grammar."""
+    """A splitting-type string fits neither ``[d1,d2,...]`` nor ``ext(...)``.
+
+    The ``ext`` form is ``ext(sub,quot,split|nonsplit)`` with two integer
+    degrees.  A well-formed ``ext`` whose type nonsplitness leaves open raises
+    ``AmbiguousExtensionError`` instead.
+    """
 
 
 class SplittingType(Value):
@@ -384,19 +393,37 @@ _FORMAT_EXPAND_LIMIT = 1000
 
 
 def parse_splitting(text: str) -> SplittingType:
-    """Parse ``[d1,d2,...]`` (possibly ``[]``) into a splitting type.
+    """Parse ``[d1,d2,...]`` (possibly ``[]``) or ``ext(sub,quot,split|nonsplit)``.
 
-    Whitespace is tolerated around tokens but not inside a number.  Every
-    degree reads as ``parse_int`` reads it, in one pass: ``int`` of each
-    stripped token, once the body has no "_", no token has a non-ASCII
-    character, and none has more than ``_INT_DIGITS`` digits.  On those
-    tokens ``int`` takes exactly what ``parse_int`` takes, so a token either
-    refuses is bad, and only then does a walk through ``parse_int`` name the
-    first bad one.
+    Whitespace is tolerated around the text and around each comma-separated
+    entry, but not inside an entry, inside ``ext`` or before its ``(``.  An
+    ``ext`` form is the middle term of 0 -> O(sub) -> E -> O(quot) -> 0, as
+    ``classify_extension`` gives it, so it raises ``AmbiguousExtensionError``
+    for a nonsplit gap of -4 or wider; every other refusal is a
+    ``SplittingParseError``.  The ``ext`` form is tried only where the
+    bracket test fails, so a bracket input never reaches it.
+
+    Each degree reads as ``parse_int`` reads it.  The bracket form does so
+    in one pass: ``int`` of each stripped token, once the body has no "_",
+    no token has a non-ASCII character, and none has more than
+    ``_INT_DIGITS`` digits.  On those tokens ``int`` takes exactly what
+    ``parse_int`` takes, so a token either refuses is bad, and only then
+    does a walk through ``parse_int`` name the first bad one.
     """
     trimmed = text.strip()
     if len(trimmed) < 2 or not (trimmed.startswith("[") and trimmed.endswith("]")):
-        raise SplittingParseError(f"expected [d1,d2,...], got {text!r}")
+        if not (trimmed.startswith("ext(") and trimmed.endswith(")")):
+            raise SplittingParseError(f"expected [d1,d2,...], got {text!r}")
+        entries = list(map(str.strip, trimmed[4:-1].split(",")))
+        if len(entries) != 3 or entries[2] not in ("split", "nonsplit"):
+            raise SplittingParseError(f"expected ext(sub,quot,split|nonsplit), got {text!r}")
+        try:
+            sub, quot = parse_int(entries[0]), parse_int(entries[1])
+        except ValueError:
+            raise SplittingParseError(
+                f"expected integer degrees in ext(...), got {text!r}"
+            ) from None
+        return classify_extension(sub, quot, entries[2] == "nonsplit")
     body = trimmed[1:-1].strip()
     if not body:
         return SplittingType()

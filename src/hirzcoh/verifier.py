@@ -378,8 +378,8 @@ def _certify(
 # --------------------------------------------------------------------------
 
 
-def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, ClaimRecord]:
-    """The extension setup record, and the replay datum when its class exists.
+def _extension_record(ctx: SurfaceContext) -> ClaimRecord:
+    """The extension setup record of ``_REPLAY``: a PASS exactly when its class exists.
 
     The group Ext^1(O, O(C)) = H^1(O(C)) has dimension e - 1 (pushforward
     degrees {0, -e}), so e >= 2 is exactly the range with a nonzero class
@@ -403,8 +403,7 @@ def _extension_record(ctx: SurfaceContext) -> tuple[ExtensionDatum | None, Claim
         f"0 -> O(C) -> E -> O -> 0 with dim Ext^1(O, O(C)) = {ext_dim}; nonsplit class chosen",
         ((error, ext_dim >= 1, {"error": error}),),
     )
-    record = _certify(ctx, row)
-    return (datum if record.passed else None), record
+    return _certify(ctx, row)
 
 
 def split_control_datum(ctx: SurfaceContext) -> ExtensionDatum:
@@ -872,18 +871,17 @@ def run_full_replay(
     """
     _check_mode(mode, beta_max)
     check_characteristic(characteristic)
-    datum, extension = _extension_record(ctx)
-    records = [extension]
-    if datum is not None:
-        records.append(nonsplit_restriction_certificate(ctx, datum))
+    records = [_extension_record(ctx)]
+    if records[0].passed:
+        records.append(nonsplit_restriction_certificate(ctx, _REPLAY))
     if records[-1].passed:  # the extension exists and stays nonsplit on C
         if characteristic == 0:
-            peeling = peeling_vanishing_certificate(ctx, datum, mode, beta_max)
-            base_row = base_row_certificate(ctx, datum, mode, beta_max)
+            peeling = peeling_vanishing_certificate(ctx, _REPLAY, mode, beta_max)
+            base_row = base_row_certificate(ctx, _REPLAY, mode, beta_max)
             sigma = quotient_zero_conclusion(ctx, peeling, base_row)
             records += [peeling, base_row, sigma]
         else:
-            records.append(frobenius_certificate(ctx, characteristic, datum, mode, beta_max))
-        records.append(direct_not_psef_certificate(ctx, datum, mode, beta_max))
-        records.append(almost_nef_evidence(ctx, datum))
+            records.append(frobenius_certificate(ctx, characteristic, _REPLAY, mode, beta_max))
+        records.append(direct_not_psef_certificate(ctx, _REPLAY, mode, beta_max))
+        records.append(almost_nef_evidence(ctx, _REPLAY))
     return VerificationReport(ctx.e, characteristic, mode, beta_max, records)

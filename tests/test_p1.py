@@ -678,6 +678,7 @@ DIGIT_LIMITS = (sys.int_info.default_max_str_digits, 640, 0)
 
 # a degree one digit past the 4300 every input integer keeps
 PAST_DIGITS = "[" + "9" * 4301 + "]"
+PAST_DIGITS_EXT = "ext(" + "9" * 4301 + ",0,split)"
 
 # each refusal's whole message: the per-token read names the first bad token
 PARSE_REFUSALS = {
@@ -691,11 +692,24 @@ PARSE_REFUSALS = {
     "[\u0661]": "bad degree '\u0661' in '[\u0661]'",
     "[+-1]": "bad degree '+-1' in '[+-1]'",
     PAST_DIGITS: f"bad degree {PAST_DIGITS[1:-1]!r} in {PAST_DIGITS!r}",
+    # the ext form: whitespace around an entry is stripped, inside one it is not
+    "ext(0,2)": "expected ext(sub,quot,split|nonsplit), got 'ext(0,2)'",
+    "ext(0,2,split,1)": "expected ext(sub,quot,split|nonsplit), got 'ext(0,2,split,1)'",
+    "ext(0,2,non split)": "expected ext(sub,quot,split|nonsplit), got 'ext(0,2,non split)'",
+    "ext(a,2,split)": "expected integer degrees in ext(...), got 'ext(a,2,split)'",
+    "ext(1 0,2,split)": "expected integer degrees in ext(...), got 'ext(1 0,2,split)'",
+    "ext(0,1_0,split)": "expected integer degrees in ext(...), got 'ext(0,1_0,split)'",
+    PAST_DIGITS_EXT: f"expected integer degrees in ext(...), got {PAST_DIGITS_EXT!r}",
+    "e x t(0,2,split)": "expected [d1,d2,...], got 'e x t(0,2,split)'",
+    "ext (0,2,split)": "expected [d1,d2,...], got 'ext (0,2,split)'",
+    "ext(0,2,split": "expected [d1,d2,...], got 'ext(0,2,split'",
 }
 
 
 @pytest.mark.parametrize(
-    "bad", list(PARSE_REFUSALS), ids=lambda bad: "9 x 4301" if bad == PAST_DIGITS else None
+    "bad",
+    list(PARSE_REFUSALS),
+    ids=lambda bad: {PAST_DIGITS: "9 x 4301", PAST_DIGITS_EXT: "ext 9 x 4301"}.get(bad),
 )
 def test_parse_splitting_rejects(bad):
     for limit in DIGIT_LIMITS:
@@ -755,3 +769,23 @@ def test_parse_splitting_reads_as_the_per_token_walk(text, limit):
         except SplittingParseError as exc:
             got = str(exc)
     assert got == want
+
+
+@given(
+    st.one_of(st.integers(-6, 6), st.integers()),
+    st.one_of(st.integers(-6, 6), st.integers()),
+    st.sampled_from(["split", "nonsplit"]),
+    st.lists(_PAD, min_size=8, max_size=8),
+)
+def test_parse_splitting_reads_an_extension_as_classify_extension(sub, quot, kind, pads):
+    text = "{}ext({}{s}{},{}{q}{},{}{k}{}){}".format(*pads, s=sub, q=quot, k=kind)
+
+    def outcome(parse, *args):
+        try:
+            return parse(*args)
+        except AmbiguousExtensionError as exc:
+            return str(exc)
+
+    assert outcome(parse_splitting, text) == outcome(
+        classify_extension, sub, quot, kind == "nonsplit"
+    )

@@ -42,15 +42,15 @@ def _record(rep, claim_id):
 def test_replay_datum_is_one_constant():
     assert v.ExtensionDatum._fields == ("sub", "quot", "nonsplit")
     assert v._REPLAY == v.ExtensionDatum(C, DivisorClass(0, 0), True)
-    # the extension record hands the replay that constant wherever its class
-    # exists, and none where it does not
+    # the extension record of that constant passes wherever its class exists,
+    # and fails where it does not
     for e in (2, 3):
-        datum, record = v._extension_record(SurfaceContext(e))
-        assert datum is v._REPLAY and record.passed
+        record = v._extension_record(SurfaceContext(e))
+        assert record.passed
         assert record.details["ext_dim"] == e - 1  # read from the surface
     for e in (0, 1):
-        datum, record = v._extension_record(SurfaceContext(e))
-        assert datum is None and not record.passed
+        record = v._extension_record(SurfaceContext(e))
+        assert not record.passed
         assert record.headline.startswith(f"no nonsplit extension exists on F_{e}: ")
     # every certificate that takes a datum defaults to it
     for certificate in [c for c, _ in _CERTIFICATES.values()] + [almost_nef_evidence]:
@@ -90,7 +90,7 @@ def test_restriction_certificate_reads_ext_dim():
     for passing in (datum, split_control_datum(CTX2)):
         rec = nonsplit_restriction_certificate(CTX2, passing)
         assert rec.passed and "ext_dim" not in rec.details
-    assert v._extension_record(SurfaceContext(3))[1].details["ext_dim"] == 2
+    assert v._extension_record(SurfaceContext(3)).details["ext_dim"] == 2
     with pytest.raises(AttributeError):
         datum.nonsplit = False
 
@@ -822,6 +822,16 @@ def test_is_prime_decides_up_to_the_bound():
     assert not any(v.is_prime(n) for n in range(bound - 167, bound))
     # the verifier's name is the primes module's function, not a copy
     assert v.is_prime is primes.is_prime
+
+
+def test_miller_rabin_bases_are_the_first_thirteen_primes():
+    # Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    # Math. Comp. 86 (2017): psi_13 = 3317044064679887385961981 is the least
+    # strong pseudoprime to the first thirteen prime bases, so Miller-Rabin
+    # on exactly those bases decides every n below it
+    assert primes._MR_BASES == tuple(n for n in range(2, 42) if _trial_division(n))
+    assert len(primes._MR_BASES) == 13
+    assert primes._MR_BOUND == 3317044064679887385961981
 
 
 @pytest.mark.parametrize("characteristic", (1, 4, -3, 318665857834031151167461))
