@@ -150,7 +150,11 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 #: sets the interpreter's own limit to it, so what it prints does not either.
 _INT_DIGITS = 4300
 
-_TERM_RE = re.compile(r"([+-]?)([0-9]*)([CF])")
+#: One term of a class and the whitespace around it: whitespace may surround
+#: the term and follow its sign, but not sit inside the coefficient or
+#: between it and the generator.  Each gap has one whitespace run, so a
+#: failed match backtracks in time linear in the text.
+_TERM_RE = re.compile(r"\s*((?:([+-])\s*)?([0-9]*)([CF]))\s*")
 
 
 def parse_int(text: str) -> int:
@@ -169,28 +173,30 @@ def parse_int(text: str) -> int:
 def parse_class(text: str) -> DivisorClass:
     """Parse ``[n]C±[m]F`` (each term optional, at most once) into a class.
 
-    Whitespace is ignored.  Terms after the first must carry an explicit
-    sign, and repeating a generator is an error, so the map from accepted
-    strings to classes is unambiguous.
+    Whitespace may surround each term and each sign, and nowhere else: not
+    inside a coefficient or between a coefficient and its generator, so
+    ``" C - F "`` reads as C - F while ``"1 0C+F"`` and ``"3 F"`` are
+    refused.  It is the whitespace ``str.strip`` removes, as for splitting
+    types.  Terms after the first must carry an explicit sign, and repeating
+    a generator is an error, so the map from accepted strings to classes is
+    unambiguous.  Every refusal quotes the text as given, and the position
+    of an unexpected token is its index there.
     """
-    compact = "".join(text.split())
-    if not compact:
+    if not text.strip():
         raise ClassParseError("empty divisor-class string")
     coeffs: dict[str, int] = {}
     pos = 0
-    while pos < len(compact):
-        m = _TERM_RE.match(compact, pos)
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
         if m is None:
             raise ClassParseError(
-                f"unexpected token {compact[pos:]!r} at position {pos} in {text!r}"
+                f"unexpected token {text[pos:]!r} at position {pos} in {text!r}"
             )
-        sign, digits, gen = m.groups()
+        term, sign, digits, gen = m.groups("")
         if pos and not sign:
-            raise ClassParseError(
-                f"missing '+' or '-' before term {m.group(0)!r} in {text!r}"
-            )
+            raise ClassParseError(f"missing '+' or '-' before term {term!r} in {text!r}")
         if gen in coeffs:
-            raise ClassParseError(f"repeated {gen} term {m.group(0)!r} in {text!r}")
+            raise ClassParseError(f"repeated {gen} term {term!r} in {text!r}")
         if len(digits) > _INT_DIGITS:
             raise ClassParseError(f"{gen} coefficient has more than {_INT_DIGITS} digits")
         coeffs[gen] = int(sign + digits) if digits else (-1 if sign == "-" else 1)

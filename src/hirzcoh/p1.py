@@ -347,25 +347,22 @@ class DegreeForm(Value):
         return DegreeForm(n * self.c0, n * self.cb, n * self.cl)
 
     def is_negative_on_region(self) -> bool:
-        """True iff the form is < 0 for every integer b >= 1, l >= 0.
+        """True iff the form is < 0 for every integer b >= 1, l >= 0."""
+        return self.nonnegative_witness() is None
+
+    def nonnegative_witness(self) -> tuple[int, int] | None:
+        """A point (b, l) of the region where the form is >= 0, if any.
 
         A positive slope escapes to +infinity along its axis; with both
         slopes nonpositive the supremum over the region sits at (1, 0).
         """
-        return self.cl <= 0 and self.cb <= 0 and self.c0 + self.cb < 0
-
-    def nonnegative_witness(self) -> tuple[int, int] | None:
-        """A point (b, l) of the region where the form is >= 0, if any."""
-        if self.is_negative_on_region():
-            return None
-        if self(1, 0) >= 0:
+        if self.c0 + self.cb >= 0:
             return (1, 0)
-        if self.cl > 0:
-            need = -(self.c0 + self.cb)  # want cl*l >= need at b = 1
-            return (1, -(-need // self.cl))
-        # cl <= 0 here, so cb > 0 and l = 0 is optimal
-        need = -self.c0
-        return (-(-need // self.cb), 0)
+        if self.cl > 0:  # the least l with c0 + cb + cl*l >= 0, at b = 1
+            return (1, -((self.c0 + self.cb) // self.cl))
+        if self.cb > 0:  # the least b with c0 + cb*b >= 0, at l = 0
+            return (-(self.c0 // self.cb), 0)
+        return None
 
     def __str__(self) -> str:
         s = str(self.c0)

@@ -34,8 +34,8 @@ def child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
-def run_capped(*argv):
-    """Run the CLI in a child capped at 1 GB of address space and 60 s.
+def run_capped(*argv, timeout=60):
+    """Run the CLI in a child capped at 1 GB of address space and ``timeout`` s.
 
     For inputs whose cost could grow with the size of the integers: a
     regression fails the test instead of exhausting the machine.
@@ -48,7 +48,7 @@ def run_capped(*argv):
         [sys.executable, "-m", "hirzcoh.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env=child_env(),
         preexec_fn=cap,
     )
@@ -264,6 +264,24 @@ def test_split_refuses_whitespace_inside_an_extension(capsys, text, refusal):
     code, out, err = run(capsys, "split", text)
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: {refusal}, got {text!r}"]
+
+
+@pytest.mark.parametrize(
+    "spaced, compact", [(" C - F ", "C-F"), ("C + 3F", "C+3F"), ("- 2C+F", "-2C+F")]
+)
+def test_class_reads_whitespace_around_terms_and_signs(capsys, spaced, compact):
+    assert run(capsys, "cone", "-e", "2", "--", spaced) == run(
+        capsys, "cone", "-e", "2", "--", compact
+    )
+
+
+def test_class_of_whitespace_is_refused_within_a_second():
+    # a term pattern with two whitespace runs side by side would take minutes
+    # to backtrack over 10^5 spaces; the child is stopped after 1 s
+    argv = ["cone", "-e", "2", "--", " " * 100_000 + "x"]
+    code, out, err = run_capped(*argv, timeout=1)
+    assert (code, out) == (2, "") and err.startswith("error: unexpected token ' ")
+    assert_exit_contract(argv, code, out, err)
 
 
 def test_split_progression_past_enumeration_bound(capsys):
@@ -580,6 +598,7 @@ def run_under_every_limit(argv):
         ("split", f"[0,-{PAST_DIGITS}]"),
         ("split", f"ext(0,{PAST_DIGITS},nonsplit)"),
         ("cone", "--", f"C-{PAST_DIGITS}F"),
+        ("cone", "-e", "2", "1 0C+F"),
     ],
     ids=[
         "split_degree_underscore",
@@ -598,6 +617,7 @@ def run_under_every_limit(argv):
         "split_degree_digits",
         "split_ext_digits",
         "cone_class_digits",
+        "cone_class_space",
     ],
 )
 def test_every_integer_is_ascii_digits(argv):

@@ -3,9 +3,12 @@
 import copy
 import pickle
 import random
+import re
+import signal
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hirzcoh.hirzebruch import (
@@ -21,6 +24,11 @@ from hirzcoh.hirzebruch import (
 from hirzcoh.p1 import DegreeForm, SplittingType
 
 H = DivisorClass(1, 3)
+
+# the whitespace characters of the splitting-type tests: str.strip, and so
+# the class grammar, takes \x1c and \u2003 as whitespace too
+_PAD_CHARS = " \t\x1c\u2003"
+_PAD = st.text(_PAD_CHARS, max_size=2)
 
 
 def test_intersection_examples():
@@ -176,12 +184,15 @@ def test_parse_examples():
     assert parse_class("0C+0F") == DivisorClass(0, 0)
     assert parse_class(" C - F ") == DivisorClass(1, -1)
     assert parse_class("F+2C") == DivisorClass(2, 1)
+    assert parse_class("\t-\u20032C +\tF\u2003") == DivisorClass(-2, 1)
 
 
-# each refusal's full message: an empty string, an unexpected token (the
-# rest of the whitespace-free string, at its position there), a term after
-# the first without a sign, and a repeated generator; the message quotes
-# the input as given
+# each refusal's full message: an empty or all-whitespace string, an
+# unexpected token (the rest of the text from the term that fails to read,
+# leading whitespace included, at its index in the text), a term after the
+# first without a sign, and a repeated generator; whitespace inside a
+# coefficient or before a generator leaves the term unread.  The message
+# quotes the input as given
 PARSE_ERRORS = {
     "C+F+F": "repeated F term '+F' in 'C+F+F'",
     "": "empty divisor-class string",
@@ -193,8 +204,11 @@ PARSE_ERRORS = {
     "+-C": "unexpected token '+-C' at position 0 in '+-C'",
     "C 3F": "missing '+' or '-' before term '3F' in 'C 3F'",
     "  ": "empty divisor-class string",
-    " -2 C + 3 G ": "unexpected token '+3G' at position 3 in ' -2 C + 3 G '",
+    " -2 C + 3 G ": "unexpected token ' -2 C + 3 G ' at position 0 in ' -2 C + 3 G '",
     "F-C+7F+C": "repeated F term '+7F' in 'F-C+7F+C'",
+    "1 0C+F": "unexpected token '1 0C+F' at position 0 in '1 0C+F'",
+    "3 F": "unexpected token '3 F' at position 0 in '3 F'",
+    "-2 C+F": "unexpected token '-2 C+F' at position 0 in '-2 C+F'",
 }
 
 
@@ -221,6 +235,90 @@ def test_format_examples():
 def test_format_parse_roundtrip(a, b):
     d = DivisorClass(a, b)
     assert parse_class(format_class(d)) == d
+
+
+@given(
+    st.integers(-1000, 1000),
+    st.integers(-1000, 1000),
+    st.lists(_PAD, min_size=5, max_size=5),
+    st.sampled_from(_PAD_CHARS),
+)
+def test_parse_reads_whitespace_around_terms_and_signs(a, b, pads, space):
+    # pads[0] goes before the first term, and each term is followed by its
+    # own pad, as each sign is
+    d = DivisorClass(a, b)
+    text = pads[0]
+    for i, (sign, body) in enumerate(re.findall(r"([+-]?)([0-9]*[CF])", format_class(d))):
+        text += (sign + pads[2 * i + 1] if sign else "") + body + pads[2 * i + 2]
+    assert parse_class(text) == d
+    # after a digit comes a digit or a generator: a space there sits inside a
+    # coefficient or before a generator
+    for i in range(1, len(text)):
+        if text[i - 1] in "0123456789":
+            with pytest.raises(ClassParseError, match="^unexpected token"):
+                parse_class(text[:i] + space + text[i:])
+
+
+_COMPACT_TERM_RE = re.compile(r"([+-]?)([0-9]*)([CF])")
+
+
+def _parse_compact(text):
+    """The class, or the refusal text, of a reader of whitespace-free texts.
+
+    A reference copy of the class reader that deleted all whitespace before
+    it read, without that deletion: it is called only on texts that have
+    none.  It shares no code with ``parse_class``.
+    """
+    if not text:
+        return "empty divisor-class string"
+    coeffs = {}
+    pos = 0
+    while pos < len(text):
+        m = _COMPACT_TERM_RE.match(text, pos)
+        if m is None:
+            return f"unexpected token {text[pos:]!r} at position {pos} in {text!r}"
+        sign, digits, gen = m.groups()
+        if pos and not sign:
+            return f"missing '+' or '-' before term {m.group(0)!r} in {text!r}"
+        if gen in coeffs:
+            return f"repeated {gen} term {m.group(0)!r} in {text!r}"
+        if len(digits) > 4300:
+            return f"{gen} coefficient has more than 4300 digits"
+        coeffs[gen] = int(sign + digits) if digits else (-1 if sign == "-" else 1)
+        pos = m.end()
+    return DivisorClass(coeffs.get("C", 0), coeffs.get("F", 0))
+
+
+@given(st.text("CF+-0123x", max_size=12))
+@example("-" + "9" * 4300 + "C+F")
+@example("C-" + "0" * 4301 + "F")
+def test_parse_without_whitespace_reads_as_before(text):
+    # without whitespace, each text gets the reference reader's class or
+    # its refusal, word for word
+    try:
+        got = parse_class(text)
+    except ClassParseError as exc:
+        got = str(exc)
+    assert got == _parse_compact(text)
+
+
+def test_whitespace_is_read_in_linear_time():
+    # two whitespace runs side by side in the term pattern backtrack
+    # quadratically: seconds for 2*10^4 spaces, minutes for 10^5.  re checks
+    # for signals while it backtracks, so an alarm ends such a run after 1 s
+    def expire(signum, frame):
+        raise TimeoutError("parse_class still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ClassParseError, match="^unexpected token ' "):
+            parse_class(" " * 100_000 + "x")
+        assert time.perf_counter() - start < 0.1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_class_arithmetic():
